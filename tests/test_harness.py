@@ -201,6 +201,43 @@ class TestRunExperiment:
         assert "synthetic failure" in series.errors[0][1]
         assert {r.nu for r in series.rows} == set(cfg.nu_ladder) - {doomed}
 
+    def test_programming_error_in_leg_is_fatal(self, monkeypatch):
+        # a bug is not a numerical failure: it must fail the run, not become a leg error
+        import vvlab.harness as harness_mod
+        from vvlab.coupling import init_coupling as real_init
+
+        cfg = small_config()
+        doomed = cfg.nu_ladder[1]
+        calls = {"leg": -1}
+
+        def buggy_init(omega0, n_particles, rng_seed):
+            calls["leg"] += 1
+            if cfg.nu_ladder[calls["leg"]] == doomed:
+                raise TypeError("synthetic bug")
+            return real_init(omega0, n_particles, rng_seed)
+
+        monkeypatch.setattr(harness_mod, "init_coupling", buggy_init)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(cfg)
+
+    def test_mass_rescale_small_on_smoke_geometry(self, monkeypatch):
+        # clipping undershoots makes the viscous and inviscid masses drift
+        # apart; on the smoke patch pair the rescale that closes the gap is
+        # about 1e-4 of the mass
+        import vvlab.harness as harness_mod
+
+        real_equalize = harness_mod._equalize_mass
+        rescales = []
+
+        def recording(mu, nu_m):
+            rescales.append(abs(nu_m.total_mass / mu.total_mass - 1.0))
+            real_equalize(mu, nu_m)
+
+        monkeypatch.setattr(harness_mod, "_equalize_mass", recording)
+        run_experiment(patch_config())
+        assert len(rescales) == 2 * len(patch_config().nu_ladder)
+        assert max(rescales) < 2e-4
+
 
 class TestChainInvariants:
     def test_clean_sweep(self, patch_series):

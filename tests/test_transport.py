@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+import vvlab.transport as transport
 from vvlab.fields import Grid2D, ScalarField2D, hm1_norm
+from vvlab.initial_data import make_initial_data
 from vvlab.transport import (
     DiscreteMeasure,
     TransportError,
@@ -165,6 +169,127 @@ class TestExactSolver:
         mu, nu = random_pair(0)
         with pytest.raises(TransportError, match="p="):
             wasserstein_exact(mu, nu, p=3)
+
+
+def dense_lp_distance(mu, nu, p):
+    """Reference: the transport LP over every one of the m*k pairs at once."""
+    m, k = len(mu), len(nu)
+    C = cost_matrix(mu, nu, p)
+    var = np.arange(m * k)
+    rows_i, cols_j = np.divmod(var, k)
+    sel = cols_j < k - 1
+    a_eq = sparse.coo_matrix(
+        (np.ones(m * k + sel.sum()), (np.concatenate([rows_i, m + cols_j[sel]]),
+                                      np.concatenate([var, var[sel]]))),
+        shape=(m + k - 1, m * k),
+    )
+    mass = mu.total_mass
+    b_eq = np.concatenate([mu.weights, nu.weights[:-1]]) / mass
+    res = linprog(C.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return (mass * float(res.x @ C.ravel())) ** (1.0 / p)
+
+
+def unequal_pair(seed, m, k):
+    rng = np.random.default_rng(seed)
+    wa = rng.uniform(0.2, 2.0, size=m)
+    wb = rng.uniform(0.2, 2.0, size=k)
+    wb *= wa.sum() / wb.sum()
+    return (
+        DiscreteMeasure(rng.uniform(0, 1, size=(m, 2)), wa, 1.0),
+        DiscreteMeasure(rng.uniform(0, 1, size=(k, 2)), wb, 1.0),
+    )
+
+
+def count_lp_solves(monkeypatch):
+    calls = []
+    real = transport._solve_restricted
+
+    def counting(c, *args):
+        calls.append(len(c))
+        return real(c, *args)
+
+    monkeypatch.setattr(transport, "_solve_restricted", counting)
+    return calls
+
+
+def assert_matches_dense(mu, nu, p, rel=1e-9):
+    d, plan = wasserstein_exact(mu, nu, p=p)
+    assert d == pytest.approx(dense_lp_distance(mu, nu, p), rel=rel, abs=1e-15)
+    row, col = plan.marginals(len(mu), len(nu))
+    np.testing.assert_allclose(row, mu.weights, rtol=1e-8, atol=1e-14 * mu.total_mass)
+    np.testing.assert_allclose(col, nu.weights, rtol=1e-8, atol=1e-14 * mu.total_mass)
+    assert plan.cost == pytest.approx(d ** p, rel=1e-12)
+    return d, plan
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_dense_lp(self, seed, p):
+        rng = np.random.default_rng(100 + seed)
+        m, k = rng.choice(np.arange(30, 151), size=2, replace=False)
+        mu, nu = unequal_pair(seed, m, k)
+        _, plan = assert_matches_dense(mu, nu, p)
+        # a basic optimal plan has at most m + k - 1 nonzero entries
+        assert len(plan.pairs) <= m + k - 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_single_neighbour_start_needs_pricing(self, monkeypatch, p):
+        monkeypatch.setattr(transport, "NEIGHBOURS", 1)
+        solves = count_lp_solves(monkeypatch)
+        mu, nu = unequal_pair(7, 90, 60)
+        assert_matches_dense(mu, nu, p)
+        assert len(solves) >= 3
+        assert solves == sorted(solves)  # the active set only grows
+        assert solves[-1] < len(mu) * len(nu)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("m, k", [(1, 1), (1, 40), (40, 1), (3, 5), (5, 3)])
+    def test_small_supports(self, p, m, k):
+        mu, nu = unequal_pair(m * 100 + k, m, k)
+        assert_matches_dense(mu, nu, p)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_identical_measures(self, p):
+        mu, _ = unequal_pair(3, 80, 80)
+        d, _ = wasserstein_exact(mu, mu, p=p)
+        assert d == pytest.approx(0.0, abs=1e-12)
+        assert dense_lp_distance(mu, mu, p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_w1_lattice_with_tied_costs(self):
+        # lattice-to-lattice W1 has many optimal plans and many tied costs
+        side = 10
+        x = (np.arange(side) + 0.5) / side
+        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        w = np.ones(side * side)
+        # half a cell along x: every atom has two nearest targets at equal cost
+        mu = DiscreteMeasure(pts, w, 1.0)
+        nu = DiscreteMeasure(pts + [0.5 / side, 0.0], w, 1.0)
+        d, _ = assert_matches_dense(mu, nu, 1)
+        assert d == pytest.approx(w.sum() * 0.5 / side, rel=1e-9)
+        ramp = np.linspace(1.0, 2.0, side * side)
+        assert_matches_dense(
+            DiscreteMeasure(pts, ramp, 1.0), DiscreteMeasure(pts, ramp[::-1].copy(), 1.0), 1
+        )
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_patch_pair_at_smoke_size(self, p):
+        # the positive part of the smoke patch pair against a diffused, shifted
+        # copy: 260 atoms a side, as in each exact-LP call of a smoke run
+        grid = Grid2D(32, 1.0)
+        plus = split_signed(
+            make_initial_data("patch_pair", grid, radius=0.12, separation=0.4)
+        ).plus
+        k = 2 * np.pi * np.fft.fftfreq(32, 1.0 / 32)
+        heat = np.exp(-0.03 * 0.05 * (k[:, None] ** 2 + k[None, :] ** 2))
+        diffused = np.real(np.fft.ifft2(np.fft.fft2(plus.values) * heat))
+        moved = ScalarField2D(grid, np.maximum(np.roll(diffused, 1, axis=0), 0.0))
+        mu = field_to_measure(plus, max_support=260)
+        nu = field_to_measure(moved, max_support=260)
+        mu = mu.scaled(nu.total_mass / mu.total_mass)
+        assert len(mu) == len(nu) == 260
+        assert_matches_dense(mu, nu, p)
 
 
 class TestSinkhorn:
