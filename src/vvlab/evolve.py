@@ -1,10 +1,17 @@
 """Pseudo-spectral time integration of the 2D vorticity equations.
 
-The advection term is advanced with classical RK4 and the diffusion term
-exactly with an integrating factor exp(-nu |k|^2 dt), so the viscous and
-inviscid branches differ only by that factor. Nonlinear products are formed
-pseudo-spectrally with optional 2/3-rule dealiasing. nu = 0 selects the
-Euler branch.
+One integrating-factor RK4 kernel (Kassam & Trefethen, SISC 2005) advances
+every trajectory: advection by classical RK4, diffusion exactly by the factor
+exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on a stack of
+S real-FFT half spectra, shape (S, n, n//2+1), advected by a fixed linear
+combination of the stack (the field itself for :func:`run` and :func:`step`,
+plus minus minus for :func:`run_split`) or by a given velocity
+(:func:`advect_frozen`). The gradient and Biot-Savart multipliers, with the
+optional 2/3-rule dealiasing folded in, and the integrating factors are built
+once per trajectory. Each RK stage makes one batched ``irfft2`` (2 velocity
+and 2S gradient spectra) and one batched ``rfft2`` (S advection products).
+The odd derivative multipliers are zero on the Nyquist row and column, which
+the real part of a complex inverse transform also discards.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from vvlab.fields import (
     Grid2D,
@@ -20,7 +28,6 @@ from vvlab.fields import (
     NormReport,
     norms,
     require_mean_zero,
-    velocity_spectral,
 )
 
 CFL_LIMIT = 0.5
@@ -62,14 +69,6 @@ class Trajectory:
         return self.states[i]
 
 
-def _dealias_mask(grid: Grid2D, enabled: bool) -> np.ndarray:
-    if not enabled:
-        return np.ones((grid.n, grid.n))
-    cut = grid.n // 3
-    m1d = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) <= cut
-    return np.outer(m1d, m1d).astype(float)
-
-
 def _check_cfl(max_speed: float, spacing: float, dt: float) -> None:
     cfl = dt * max_speed / spacing
     if cfl > CFL_LIMIT:
@@ -79,89 +78,69 @@ def _check_cfl(max_speed: float, spacing: float, dt: float) -> None:
         )
 
 
-def _advection_rhs(w_hats: np.ndarray, grid: Grid2D, mask: np.ndarray, vel_index_pair):
-    """Spectral RHS -F[u . grad w] for a stack of fields sharing one velocity.
+class _Kernel:
+    """IFRK4 on a stack of ``size`` half spectra, with its operators built once.
 
-    The advecting vorticity is w_hats[i] - w_hats[j] for (i, j) = vel_index_pair
-    (i == j means the single-field self-advection case uses w_hats[i] itself).
-    Returns (rhs_stack, max_speed).
+    ``coeffs`` weights the stack members into the advecting vorticity; a
+    ``velocity`` given instead advects every member as is (frozen advection).
     """
-    k1, k2, _, _ = grid.wavenumbers()
-    i, j = vel_index_pair
-    adv_hat = w_hats[i] if i == j else w_hats[i] - w_hats[j]
-    u1_hat, u2_hat = velocity_spectral(adv_hat * mask, grid)
-    u1 = np.fft.ifft2(u1_hat).real
-    u2 = np.fft.ifft2(u2_hat).real
-    max_speed = float(np.sqrt(u1 * u1 + u2 * u2).max())
-    out = np.empty_like(w_hats)
-    for s in range(w_hats.shape[0]):
-        wd = w_hats[s] * mask
-        wx = np.fft.ifft2(1j * k1 * wd).real
-        wy = np.fft.ifft2(1j * k2 * wd).real
-        conv_hat = np.fft.fft2(u1 * wx + u2 * wy)
-        conv_hat *= mask
-        conv_hat[0, 0] = 0.0  # exact mean-zero preservation
-        out[s] = -conv_hat
-    return out, max_speed
 
+    def __init__(self, grid: Grid2D, cfg: SolverConfig, size: int, coeffs=None, velocity=None):
+        n, half = grid.n, grid.n // 2 + 1
+        k1, k2, k_sq, inv_k_sq = (a[:, :half] for a in grid.wavenumbers())
+        if cfg.dealias:
+            keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+            mask = np.outer(keep, keep[:half]).astype(float)
+        else:
+            mask = np.ones((n, half))
+        self.ik1 = 1j * k1 * mask
+        self.ik2 = 1j * k2 * mask
+        self.ik1[n // 2, :] = 0.0
+        self.ik2[:, n // 2] = 0.0
+        # u = grad^perp psi with psi_hat = -omega_hat / |k|^2
+        self.bs1 = self.ik2 * inv_k_sq
+        self.bs2 = -self.ik1 * inv_k_sq
+        self.out = -cfg.dt * mask
+        self.out[0, 0] = 0.0  # exact mean-zero preservation
+        self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
+        self.e_full = self.e_half * self.e_half
+        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
+        self.velocity = velocity
+        # gradient spectra of every member, then the two velocity spectra
+        planes = 2 * size if velocity is not None else 2 * size + 2
+        self.buf = np.empty((planes, n, half), dtype=complex)
+        self.shape = (n, n)
+        self.spacing = grid.spacing
+        self.dt = cfg.dt
 
-def _ifrk4_step(w_hats: np.ndarray, grid: Grid2D, cfg: SolverConfig, mask: np.ndarray, vel_pair):
-    """One integrating-factor RK4 step on a stack of spectral fields."""
-    _, _, k_sq, _ = grid.wavenumbers()
-    dt = cfg.dt
-    e_half = np.exp(-cfg.nu * k_sq * dt / 2.0)
-    e_full = e_half * e_half
+    def rhs(self, w: np.ndarray, check_cfl: bool = False) -> np.ndarray:
+        """dt times the advection term -F[u . grad w] of every stack member."""
+        s, buf = len(w), self.buf
+        np.multiply(self.ik1, w, out=buf[:s])
+        np.multiply(self.ik2, w, out=buf[s:2 * s])
+        if self.velocity is None:
+            adv = np.tensordot(self.coeffs, w, axes=1)
+            np.multiply(self.bs1, adv, out=buf[2 * s])
+            np.multiply(self.bs2, adv, out=buf[2 * s + 1])
+        phys = irfft2(buf, s=self.shape, overwrite_x=True)
+        if self.velocity is None:
+            u1, u2 = phys[2 * s], phys[2 * s + 1]
+        else:
+            u1, u2 = self.velocity.u1, self.velocity.u2
+        if check_cfl:
+            _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
+        return self.out * rfft2(u1 * phys[:s] + u2 * phys[s:2 * s])
 
-    k1v, max_speed = _advection_rhs(w_hats, grid, mask, vel_pair)
-    _check_cfl(max_speed, grid.spacing, dt)
-    k1v = dt * k1v
-    k2v, _ = _advection_rhs(e_half * (w_hats + 0.5 * k1v), grid, mask, vel_pair)
-    k2v = dt * k2v
-    k3v, _ = _advection_rhs(e_half * w_hats + 0.5 * k2v, grid, mask, vel_pair)
-    k3v = dt * k3v
-    k4v, _ = _advection_rhs(e_full * w_hats + e_half * k3v, grid, mask, vel_pair)
-    k4v = dt * k4v
-    out = e_full * w_hats + (e_full * k1v + 2.0 * e_half * (k2v + k3v) + k4v) / 6.0
-    if not np.all(np.isfinite(out)):
-        raise SolverError("non-finite spectral coefficients after step (blow-up?)")
-    return out
-
-
-def step(omega: ScalarField2D, cfg: SolverConfig) -> ScalarField2D:
-    """Advance the vorticity by one step of the nonlinear dynamics."""
-    require_mean_zero(omega, "time stepping")
-    grid = omega.grid
-    mask = _dealias_mask(grid, cfg.dealias)
-    w_hats = omega.spectral[None, :, :].copy()
-    w_hats = _ifrk4_step(w_hats, grid, cfg, mask, (0, 0))
-    return ScalarField2D(grid, np.fft.ifft2(w_hats[0]).real)
-
-
-def advect_frozen(omega: ScalarField2D, u: VectorField2D, cfg: SolverConfig) -> ScalarField2D:
-    """One RK4 step of passive advection-diffusion by a frozen velocity field."""
-    grid = omega.grid
-    mask = _dealias_mask(grid, cfg.dealias)
-    k1, k2, k_sq, _ = grid.wavenumbers()
-    _check_cfl(u.max_speed(), grid.spacing, cfg.dt)
-
-    def rhs(w_hat):
-        wd = w_hat * mask
-        wx = np.fft.ifft2(1j * k1 * wd).real
-        wy = np.fft.ifft2(1j * k2 * wd).real
-        conv_hat = np.fft.fft2(u.u1 * wx + u.u2 * wy) * mask
-        conv_hat[0, 0] = 0.0
-        return -conv_hat
-
-    dt = cfg.dt
-    e_half = np.exp(-cfg.nu * k_sq * dt / 2.0)
-    e_full = e_half * e_half
-    w = omega.spectral
-    k1v = dt * rhs(w)
-    k2v = dt * rhs(e_half * (w + 0.5 * k1v))
-    k3v = dt * rhs(e_half * w + 0.5 * k2v)
-    k4v = dt * rhs(e_full * w + e_half * k3v)
-    out = e_full * w + (e_full * k1v + 2.0 * e_half * (k2v + k3v) + k4v) / 6.0
-    return ScalarField2D(omega.grid, np.fft.ifft2(out).real)
+    def step(self, w: np.ndarray) -> np.ndarray:
+        e_half, e_full = self.e_half, self.e_full
+        k1 = self.rhs(w, check_cfl=True)
+        k2 = self.rhs(e_half * (w + 0.5 * k1))
+        k3 = self.rhs(e_half * w + 0.5 * k2)
+        k4 = self.rhs(e_full * w + e_half * k3)
+        out = e_full * w + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
+        if not np.all(np.isfinite(out)):
+            raise SolverError("non-finite spectral coefficients after step (blow-up?)")
+        return out
 
 
 def _steps_for(cfg: SolverConfig) -> int:
@@ -171,24 +150,47 @@ def _steps_for(cfg: SolverConfig) -> int:
     return n_steps
 
 
-def run(omega0: ScalarField2D, cfg: SolverConfig) -> Trajectory:
-    """Iterate :func:`step` to t_end, recording every ``record_every`` steps."""
-    require_mean_zero(omega0, "time stepping")
-    grid = omega0.grid
-    mask = _dealias_mask(grid, cfg.dealias)
-    n_steps = _steps_for(cfg)
-    w_hats = omega0.spectral[None, :, :].copy()
-    tr = Trajectory(times=[0.0], states=[omega0], config=cfg, monitors=[norms(omega0)])
+def _integrate(fields, cfg: SolverConfig, n_steps: int, coeffs=None, velocity=None):
+    """Advance a stack of fields n_steps; returns [(t, values of each field)].
+
+    Snapshots are taken every ``record_every`` steps and after the last one.
+    """
+    grid = fields[0].grid
+    kernel = _Kernel(grid, cfg, len(fields), coeffs, velocity)
+    w = rfft2(np.stack([f.values for f in fields]))
+    snapshots = []
     for s in range(1, n_steps + 1):
         try:
-            w_hats = _ifrk4_step(w_hats, grid, cfg, mask, (0, 0))
+            w = kernel.step(w)
         except SolverError as e:
             raise SolverError(f"step {s} (t={s * cfg.dt:.4g}): {e}") from e
         if s % cfg.record_every == 0 or s == n_steps:
-            f = ScalarField2D(grid, np.fft.ifft2(w_hats[0]).real)
-            tr.times.append(s * cfg.dt)
-            tr.states.append(f)
-            tr.monitors.append(norms(f))
+            snapshots.append((s * cfg.dt, irfft2(w, s=kernel.shape)))
+    return snapshots
+
+
+def step(omega: ScalarField2D, cfg: SolverConfig) -> ScalarField2D:
+    """Advance the vorticity by one step of the nonlinear dynamics."""
+    require_mean_zero(omega, "time stepping")
+    ((_, values),) = _integrate([omega], cfg, 1, coeffs=[1.0])
+    return ScalarField2D(omega.grid, values[0])
+
+
+def advect_frozen(omega: ScalarField2D, u: VectorField2D, cfg: SolverConfig) -> ScalarField2D:
+    """One RK4 step of passive advection-diffusion by a frozen velocity field."""
+    ((_, values),) = _integrate([omega], cfg, 1, velocity=u)
+    return ScalarField2D(omega.grid, values[0])
+
+
+def run(omega0: ScalarField2D, cfg: SolverConfig) -> Trajectory:
+    """Iterate :func:`step` to t_end, recording every ``record_every`` steps."""
+    require_mean_zero(omega0, "time stepping")
+    tr = Trajectory(times=[0.0], states=[omega0], config=cfg, monitors=[norms(omega0)])
+    for t, values in _integrate([omega0], cfg, _steps_for(cfg), coeffs=[1.0]):
+        f = ScalarField2D(omega0.grid, values[0])
+        tr.times.append(t)
+        tr.states.append(f)
+        tr.monitors.append(norms(f))
     return tr
 
 
@@ -219,21 +221,15 @@ def run_split(
 ) -> SplitTrajectory:
     """Evolve the signed parts as passive scalars in their own induced flow."""
     grid = omega0_plus.grid
-    mask = _dealias_mask(grid, cfg.dealias)
-    n_steps = _steps_for(cfg)
-    w_hats = np.stack([omega0_plus.spectral, omega0_minus.spectral]).copy()
     tr = SplitTrajectory(
         times=[0.0], plus=[omega0_plus], minus=[omega0_minus], config=cfg
     )
-    for s in range(1, n_steps + 1):
-        try:
-            w_hats = _ifrk4_step(w_hats, grid, cfg, mask, (0, 1))
-        except SolverError as e:
-            raise SolverError(f"step {s} (t={s * cfg.dt:.4g}): {e}") from e
-        if s % cfg.record_every == 0 or s == n_steps:
-            tr.times.append(s * cfg.dt)
-            tr.plus.append(ScalarField2D(grid, np.fft.ifft2(w_hats[0]).real))
-            tr.minus.append(ScalarField2D(grid, np.fft.ifft2(w_hats[1]).real))
+    for t, values in _integrate(
+        [omega0_plus, omega0_minus], cfg, _steps_for(cfg), coeffs=[1.0, -1.0]
+    ):
+        tr.times.append(t)
+        tr.plus.append(ScalarField2D(grid, values[0]))
+        tr.minus.append(ScalarField2D(grid, values[1]))
     return tr
 
 

@@ -192,13 +192,6 @@ def biot_savart(omega: ScalarField2D) -> VectorField2D:
     return VectorField2D(omega.grid, u1, u2)
 
 
-def velocity_spectral(omega_hat: np.ndarray, grid: Grid2D):
-    """Spectral-space Biot-Savart: returns (u1_hat, u2_hat)."""
-    k1, k2, _, inv_k_sq = grid.wavenumbers()
-    psi_hat = -omega_hat * inv_k_sq
-    return -1j * k2 * psi_hat, 1j * k1 * psi_hat
-
-
 def curl(u: VectorField2D) -> ScalarField2D:
     """Scalar vorticity d1 u2 - d2 u1, computed spectrally."""
     k1, k2, _, _ = u.grid.wavenumbers()

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from vvlab.fields import ScalarField2D, hm1_norm, norms, torus_delta
 
@@ -258,12 +257,12 @@ def _solve_restricted(c, i, j, a, b):
         shape=(m + k - 1, len(c)),
     )
     b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        options={"presolve": False},
+    )
     if not res.success:
-        res = linprog(
-            c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-            options={"presolve": False},
-        )
+        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise TransportError(f"exact transport LP failed: {res.message}")
     return res.x, res.eqlin.marginals
@@ -290,18 +289,30 @@ def wasserstein_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2
     return (w0 * best) ** (1.0 / p)
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum for stability.
+
+    A slice whose entries are all -inf gives -inf.
+    """
+    shift = np.max(x, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - shift), axis=axis))
+    return out + np.squeeze(shift, axis=axis)
+
+
 def _sinkhorn_potentials(log_a, log_b, C, eps, f, g, max_iter, tol, mass):
     """Balanced log-domain Sinkhorn at fixed eps; returns (f, g, violation)."""
     viol = math.inf
     a = np.exp(log_a)
-    row_lse = logsumexp((g[None, :] - C) / eps, axis=1)
+    row_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
     for _ in range(max_iter):
         f = eps * log_a - eps * row_lse
-        g = eps * log_b - eps * logsumexp((f[:, None] - C) / eps, axis=0)
+        g = eps * log_b - eps * _logsumexp((f[:, None] - C) / eps, axis=0)
         # row-marginal violation of the implied plan (columns are exact): the
         # plan's row sums are a * exp(next_lse - row_lse), and next_lse is the
         # next f-update's logsumexp
-        next_lse = logsumexp((g[None, :] - C) / eps, axis=1)
+        next_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
         viol = float(np.sum(a * np.abs(np.expm1(next_lse - row_lse)))) / mass
         row_lse = next_lse
         if viol < tol:

@@ -197,3 +197,113 @@ class TestApriori:
                         monitors=[norms(tg64)])
         with pytest.raises(ValueError):
             check_apriori(tr)
+
+
+# Reference: the complex-FFT IFRK4 that the half-spectrum kernel replaced,
+# with one full complex spectrum per field.
+def _reference_mask(grid, enabled):
+    if not enabled:
+        return np.ones((grid.n, grid.n))
+    cut = grid.n // 3
+    m1d = np.abs(np.fft.fftfreq(grid.n, d=1.0 / grid.n)) <= cut
+    return np.outer(m1d, m1d).astype(float)
+
+
+def _reference_rhs(w_hats, grid, mask, vel_pair, velocity):
+    k1, k2, _, inv_k_sq = grid.wavenumbers()
+    if velocity is None:
+        i, j = vel_pair
+        adv_hat = (w_hats[i] if i == j else w_hats[i] - w_hats[j]) * mask
+        psi_hat = -adv_hat * inv_k_sq
+        u1 = np.fft.ifft2(-1j * k2 * psi_hat).real
+        u2 = np.fft.ifft2(1j * k1 * psi_hat).real
+    else:
+        u1, u2 = velocity.u1, velocity.u2
+    out = np.empty_like(w_hats)
+    for s in range(w_hats.shape[0]):
+        wd = w_hats[s] * mask
+        wx = np.fft.ifft2(1j * k1 * wd).real
+        wy = np.fft.ifft2(1j * k2 * wd).real
+        conv_hat = np.fft.fft2(u1 * wx + u2 * wy)
+        conv_hat *= mask
+        conv_hat[0, 0] = 0.0
+        out[s] = -conv_hat
+    return out
+
+
+def reference_integrate(fields, cfg, n_steps, vel_pair=(0, 0), velocity=None):
+    """Values of every field after each step, by the complex-FFT IFRK4."""
+    grid = fields[0].grid
+    _, _, k_sq, _ = grid.wavenumbers()
+    mask = _reference_mask(grid, cfg.dealias)
+    dt = cfg.dt
+
+    def rhs(w):
+        return dt * _reference_rhs(w, grid, mask, vel_pair, velocity)
+
+    w = np.stack([f.spectral for f in fields])
+    history = []
+    for _ in range(n_steps):
+        e_half = np.exp(-cfg.nu * k_sq * dt / 2.0)
+        e_full = e_half * e_half
+        k1v = rhs(w)
+        k2v = rhs(e_half * (w + 0.5 * k1v))
+        k3v = rhs(e_half * w + 0.5 * k2v)
+        k4v = rhs(e_full * w + e_half * k3v)
+        w = e_full * w + (e_full * k1v + 2.0 * e_half * (k2v + k3v) + k4v) / 6.0
+        history.append(np.fft.ifft2(w).real)
+    return history
+
+
+def _rel_err(new, ref):
+    return float(np.abs(np.asarray(new) - ref).max() / np.abs(ref).max())
+
+
+KERNEL_CASES = [
+    pytest.param(dealias, nu, id=f"dealias={dealias}-nu={nu}")
+    for dealias in (True, False)
+    for nu in (0.0, 2e-3)
+]
+
+
+class TestKernelMatchesComplexReference:
+    """The half-spectrum kernel against the complex path, at 1e-12 relative."""
+
+    @pytest.fixture
+    def strong(self, grid32):
+        # large enough that advection moves the field visibly in a few steps
+        return ScalarField2D(grid32, 30.0 * random_mean_zero_field(grid32, 11, k_max=14).values)
+
+    @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
+    def test_step(self, strong, dealias, nu):
+        cfg = SolverConfig(nu=nu, dt=2e-3, t_end=1.0, dealias=dealias)
+        (ref,) = reference_integrate([strong], cfg, 1)
+        ref = ref[0]
+        assert _rel_err(ref, strong.values) > 1e-4
+        assert _rel_err(step(strong, cfg).values, ref) <= 1e-12
+
+    @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
+    def test_run(self, strong, dealias, nu):
+        cfg = SolverConfig(nu=nu, dt=2e-3, t_end=0.012, dealias=dealias, record_every=2)
+        ref = reference_integrate([strong], cfg, 6)
+        tr = run(strong, cfg)
+        assert tr.times == pytest.approx([0.0, 0.004, 0.008, 0.012])
+        for state, r in zip(tr.states[1:], ref[1::2]):
+            assert _rel_err(state.values, r[0]) <= 1e-12
+
+    @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
+    def test_run_split(self, grid32, dealias, nu):
+        w0 = make_initial_data("patch_pair", grid32, radius=0.15, separation=0.4)
+        sp = split_signed(w0)
+        cfg = SolverConfig(nu=nu, dt=4e-3, t_end=0.02, dealias=dealias, record_every=5)
+        (*_, ref) = reference_integrate([sp.plus, sp.minus], cfg, 5, vel_pair=(0, 1))
+        plus, minus = run_split(sp.plus, sp.minus, cfg).state_at(0.02)
+        assert _rel_err(plus.values, ref[0]) <= 1e-12
+        assert _rel_err(minus.values, ref[1]) <= 1e-12
+
+    @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
+    def test_advect_frozen(self, grid32, strong, dealias, nu):
+        u = biot_savart(random_mean_zero_field(grid32, 12, k_max=14))
+        cfg = SolverConfig(nu=nu, dt=2e-3, t_end=1.0, dealias=dealias)
+        (ref,) = reference_integrate([strong], cfg, 1, velocity=u)
+        assert _rel_err(advect_frozen(strong, u, cfg).values, ref[0]) <= 1e-12

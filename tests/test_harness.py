@@ -258,3 +258,29 @@ class TestChainInvariants:
     def test_lemma1_fits_recorded(self, patch_series):
         assert len(patch_series.lemma1) == 4
         assert all(c >= 0 for c in patch_series.lemma1.values())
+
+
+class TestRegressionPin:
+    """The patch sweep's velocity errors and rate, as the complex-FFT stepper gave them.
+
+    Tolerances are those of the benchmark's correctness gate: a stepper
+    change may reorder floating-point sums, not move the reported rates.
+    """
+
+    # nu -> err_l2_velocity at t = 0.05
+    ERR_L2_VELOCITY = {
+        3e-2: 0.0034157230889200313,
+        1.7e-2: 0.0020404888111514724,
+        9.5e-3: 0.0011783214366317262,
+        5.3e-3: 0.0006702176391638353,
+    }
+    EXPONENT = 0.9399574444597277
+
+    def test_velocity_errors(self, patch_series):
+        got = {r.nu: r.err_l2_velocity for r in patch_series.rows}
+        assert got.keys() == self.ERR_L2_VELOCITY.keys()
+        for nu, err in self.ERR_L2_VELOCITY.items():
+            assert got[nu] == pytest.approx(err, rel=1e-10, abs=0)
+
+    def test_fitted_exponent(self, patch_series):
+        assert patch_series.fits[0.05].exponent == pytest.approx(self.EXPONENT, rel=1e-9, abs=0)

@@ -319,6 +319,26 @@ class TestSinkhorn:
         with pytest.raises(TransportError, match="epsilon"):
             wasserstein_sinkhorn(mu, nu, epsilon=0.0)
 
+    @pytest.mark.parametrize("shape", [(12, 12), (38, 38), (100, 100), (7, 40)])
+    def test_logsumexp_matches_scipy(self, shape):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(shape[0])
+        # the Sinkhorn exponents (g - C) / eps: large negative entries, and
+        # -inf where an atom has zero weight; one row and one column all -inf
+        x = (rng.normal(size=shape[1])[None, :] - rng.uniform(size=shape)) / 1e-2
+        x[rng.uniform(size=shape) < 0.1] = -np.inf
+        x[0, :] = -np.inf
+        x[:, -1] = -np.inf
+        for axis in (0, 1):
+            got = transport._logsumexp(x, axis=axis)
+            with np.errstate(divide="ignore"):
+                want = logsumexp(x, axis=axis)
+            assert np.array_equal(np.isneginf(got), np.isneginf(want))
+            finite = np.isfinite(want)
+            assert finite.sum() >= shape[1 - axis] - 1
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0)
+
 
 class TestDual:
     @pytest.mark.parametrize("seed", range(5))
