@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Direct viscosity sweep without the transport/coupling overhead.
 
-Integrates the inviscid reference and a viscosity ladder for a patch pair,
-prints the velocity L2 error at each requested time and the fitted exponent.
-Useful for quick rate exploration before committing to a full experiment.
+Runs ``vvlab.harness.hm1_sweep`` on a patch pair: the inviscid reference and a
+viscosity ladder, then prints the velocity L2 error at each requested time and
+the fitted exponent. Useful for quick rate exploration before committing to a
+full experiment.
 
     python3 scripts/rate_sweep.py --n 128 --times 0.1 0.5 --nu-max 3e-3
 """
@@ -14,11 +15,17 @@ import time
 
 import numpy as np
 
-from vvlab.evolve import SolverConfig, run_split
-from vvlab.fields import Grid2D, ScalarField2D, hm1_norm
+from vvlab.fields import Grid2D
+from vvlab.harness import hm1_sweep
 from vvlab.initial_data import make_initial_data
 from vvlab.ratefit import fit_rate
-from vvlab.transport import split_signed
+
+
+def ladder_size(raw: str) -> int:
+    n = int(raw)
+    if n < 4:
+        raise argparse.ArgumentTypeError(f"a rate fit needs at least 4 viscosities, got {n}")
+    return n
 
 
 def main(argv=None) -> int:
@@ -30,7 +37,7 @@ def main(argv=None) -> int:
     ap.add_argument("--dt", type=float, default=2e-3)
     ap.add_argument("--nu-max", type=float, default=3e-3)
     ap.add_argument("--nu-min", type=float, default=3e-4)
-    ap.add_argument("--ladder", type=int, default=5)
+    ap.add_argument("--ladder", type=ladder_size, default=5)
     ap.add_argument("--times", type=float, nargs="+", default=[0.1])
     args = ap.parse_args(argv)
 
@@ -38,24 +45,10 @@ def main(argv=None) -> int:
     omega0 = make_initial_data(
         "patch_pair", grid, radius=args.radius, separation=args.separation
     )
-    sp = split_signed(omega0)
-    t_end = max(args.times)
     nus = np.geomspace(args.nu_max, args.nu_min, args.ladder)
 
     t0 = time.time()
-    euler = run_split(
-        sp.plus, sp.minus, SolverConfig(nu=0.0, dt=args.dt, t_end=t_end, record_every=10)
-    )
-    errs = {t: [] for t in args.times}
-    for nu in nus:
-        tr = run_split(
-            sp.plus, sp.minus,
-            SolverConfig(nu=float(nu), dt=args.dt, t_end=t_end, record_every=10),
-        )
-        for t in args.times:
-            diff = ScalarField2D(grid, tr.full_at(t).values - euler.full_at(t).values)
-            errs[t].append(hm1_norm(diff))
-
+    errs = hm1_sweep(omega0, nus, args.times, args.dt)
     for t in args.times:
         fit = fit_rate(nus, errs[t])
         pretty = ", ".join(f"{e:.3e}" for e in errs[t])

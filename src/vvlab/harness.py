@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +29,11 @@ from vvlab.coupling import (
 )
 from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split
 from vvlab.fields import (
-    FieldError,
-    Grid2D,
-    ScalarField2D,
-    VectorField2D,
-    biot_savart,
-    hm1_norm,
-    norms,
+    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
 )
 from vvlab.initial_data import make_initial_data
-from vvlab.ratefit import RateFit, fit_rate
-from vvlab.transport import (
-    DiscreteMeasure,
-    TransportError,
-    field_to_measure,
-    split_signed,
-    wasserstein_exact,
-    wasserstein_sinkhorn,
-)
+from vvlab.ratefit import fit_rate
+from vvlab.transport import TransportError, distance, field_to_measure, split_signed
 
 
 class ConfigError(ValueError):
@@ -84,7 +71,18 @@ class ExperimentConfig:
             raise ConfigError("evaluation times must be positive")
         if self.transport_method not in ("exact", "sinkhorn"):
             raise ConfigError(f"unknown transport method {self.transport_method!r}")
-        grid = Grid2D(self.n, self.length)
+        if not self.transport_epsilon > 0:
+            raise ConfigError(f"transport epsilon must be > 0, got {self.transport_epsilon}")
+        if self.max_support < 1:
+            raise ConfigError(f"transport max_support must be >= 1, got {self.max_support}")
+        if not self.dt > 0:
+            raise ConfigError(f"solver dt must be > 0, got {self.dt}")
+        if self.record_every < 1:
+            raise ConfigError(f"solver record_every must be >= 1, got {self.record_every}")
+        try:
+            grid = Grid2D(self.n, self.length)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         if nus and not self.resolved_scale_ok() and not self.allow_unresolved:
             raise ConfigError(
                 f"resolved-scale condition sqrt(min nu * max t) >= spacing fails "
@@ -183,19 +181,19 @@ class RateSeries:
     errors: list  # per-leg failures (nu, message)
 
 
+def _steps(t: float, unit: float, what: str) -> int:
+    """The whole number k >= 1 of ``unit`` intervals in time t, else ConfigError."""
+    k = round(t / unit)
+    if k < 1 or abs(k * unit - t) > 1e-9 * max(t, unit):
+        raise ConfigError(f"evaluation time {t} is not a multiple of the {what}")
+    return k
+
+
 def _resolve_eval_times(cfg: ExperimentConfig):
     """Snap evaluation times onto the snapshot grid (record_every * dt)."""
     snap_dt = cfg.record_every * cfg.dt
-    out = []
-    for t in cfg.times:
-        k = round(t / snap_dt)
-        if k < 1 or abs(k * snap_dt - t) > 1e-9 * max(t, snap_dt):
-            raise ConfigError(
-                f"evaluation time {t} is not a multiple of the snapshot interval "
-                f"{snap_dt} (record_every * dt)"
-            )
-        out.append(k * snap_dt)
-    return out
+    what = f"snapshot interval {snap_dt} (record_every * dt)"
+    return [_steps(t, snap_dt, what) * snap_dt for t in cfg.times]
 
 
 def _velocity_cache(tr: SplitTrajectory):
@@ -209,28 +207,33 @@ def _velocity_cache(tr: SplitTrajectory):
     return vel
 
 
-def _distance(cfg, mu, nu_m, p, self_cache, key_mu, key_nu):
-    """Transport distance with cached Sinkhorn self-terms for debiasing."""
-    if len(mu) == 0 and len(nu_m) == 0:
-        return 0.0
-    if cfg.transport_method == "exact":
-        d, _ = wasserstein_exact(mu, nu_m, p=p)
-        return d
-    from vvlab.transport import _sinkhorn_cost, cost_matrix
+def _hm1_error(tr: SplitTrajectory, ref: SplitTrajectory, t: float):
+    """Vorticity difference of two runs at time t and its H^-1 norm (the velocity L2 error)."""
+    a, b = tr.full_at(t), ref.full_at(t)
+    diff = ScalarField2D(a.grid, a.values - b.values)
+    return diff, hm1_norm(diff)
 
-    def self_cost(meas: DiscreteMeasure, key):
-        k = (key, p)
-        if k not in self_cache:
-            self_cache[k] = _sinkhorn_cost(
-                meas, meas, cost_matrix(meas, meas, p), cfg.transport_epsilon, 20000, 1e-3
-            )
-        return self_cache[k]
 
-    cost_ab = _sinkhorn_cost(
-        mu, nu_m, cost_matrix(mu, nu_m, p), cfg.transport_epsilon, 20000, 1e-3
-    )
-    div = max(cost_ab - 0.5 * (self_cost(mu, key_mu) + self_cost(nu_m, key_nu)), 0.0)
-    return div ** (1.0 / p)
+def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> dict:
+    """Velocity L2 errors of a viscosity ladder against Euler: {t: [error per nu]}.
+
+    H^-1 only, no transport or coupling: one inviscid run and one run per
+    viscosity, with a snapshot every gcd of the times' step counts.
+    """
+    every = math.gcd(*(_steps(t, dt, f"time step {dt}") for t in times))
+    split0 = split_signed(omega0)
+
+    def trajectory(nu: float) -> SplitTrajectory:
+        scfg = SolverConfig(nu=nu, dt=dt, t_end=max(times), record_every=every)
+        return run_split(split0.plus, split0.minus, scfg)
+
+    euler = trajectory(0.0)
+    errs = {t: [] for t in times}
+    for nu in nus:
+        tr = trajectory(float(nu))
+        for t in times:
+            errs[t].append(_hm1_error(tr, euler, t)[1])
+    return errs
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
@@ -253,25 +256,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     lemma1_fits: dict[float, float] = {}
     invariant_violations: list[str] = []
     leg_errors: list = []
-    self_cache: dict = {}
 
     # measures of the inviscid parts at eval times, shared across the ladder
-    euler_measures: dict = {}
-
-    def euler_measure(t, sign_name, part_field):
-        key = (t, sign_name)
-        if key not in euler_measures:
-            euler_measures[key] = field_to_measure(
-                _clip_nonneg(part_field), max_support=cfg.max_support
-            )
-        return euler_measures[key]
+    euler_measures = {t: _part_measures(euler_tr, t, cfg.max_support) for t in eval_times}
+    method, eps = cfg.transport_method, cfg.transport_epsilon
 
     for leg, nu in enumerate(cfg.nu_ladder):
         try:
-            scfg = SolverConfig(
-                nu=nu, dt=cfg.dt, t_end=t_end, dealias=cfg.dealias, record_every=cfg.record_every
-            )
-            ns_tr = run_split(split0.plus, split0.minus, scfg)
+            ns_tr = run_split(split0.plus, split0.minus, replace(scfg_euler, nu=nu))
             ns_vel = _velocity_cache(ns_tr)
 
             # particle coupling along the snapshot grid
@@ -289,10 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
                 lemma1_fits[nu] = check_lemma1(series, nu).c_fit
 
             for t in eval_times:
-                w_nu = ns_tr.full_at(t)
-                w_eu = euler_tr.full_at(t)
-                diff = ScalarField2D(grid, w_nu.values - w_eu.values)
-                err_hm1 = hm1_norm(diff)
+                diff, err_hm1 = _hm1_error(ns_tr, euler_tr, t)
                 # cross-check: the same error through Biot-Savart quadrature
                 du = biot_savart(diff)
                 err_l2_vel = math.sqrt(
@@ -304,40 +293,19 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
                         f"{abs(err_l2_vel - err_hm1):.3e}"
                     )
 
-                ns_p, ns_m = ns_tr.state_at(t)
-                eu_p, eu_m = euler_tr.state_at(t)
-                mu_p = field_to_measure(_clip_nonneg(ns_p), max_support=cfg.max_support)
-                mu_m = field_to_measure(_clip_nonneg(ns_m), max_support=cfg.max_support)
-                nu_p = euler_measure(t, "plus", eu_p)
-                nu_m = euler_measure(t, "minus", eu_m)
-                _equalize_mass(mu_p, nu_p)
-                _equalize_mass(mu_m, nu_m)
-                w2_sum = _distance(
-                    cfg, mu_p, nu_p, 2, self_cache, ("ns", nu, t, "+"), ("eu", t, "+")
-                ) + _distance(
-                    cfg, mu_m, nu_m, 2, self_cache, ("ns", nu, t, "-"), ("eu", t, "-")
-                )
-                w1_sum = _distance(
-                    cfg, mu_p, nu_p, 1, self_cache, ("ns", nu, t, "+"), ("eu", t, "+")
-                ) + _distance(
-                    cfg, mu_m, nu_m, 1, self_cache, ("ns", nu, t, "-"), ("eu", t, "-")
-                )
-                q_at_t = float(
-                    np.interp(t, series.times, series.q)
-                )
-                rows.append(
-                    RateRow(
-                        nu=nu,
-                        t=t,
-                        err_l2_velocity=err_hm1,
-                        w1_vorticity=w1_sum,
-                        w2_split_sum=w2_sum,
-                        q_estimate=q_at_t,
-                    )
-                )
-                _check_chain(
-                    rows[-1], l1_0, linf0, err_hm1, invariant_violations, series, t
-                )
+                # split route: each signed part against its inviscid twin
+                w1_sum = w2_sum = 0.0
+                parts = _part_measures(ns_tr, t, cfg.max_support)
+                for part, twin in zip(parts, euler_measures[t]):
+                    part = _equalize_mass(part, twin)
+                    w2_sum += distance(part, twin, 2, method, eps)
+                    w1_sum += distance(part, twin, 1, method, eps)
+                q_at_t = float(np.interp(t, series.times, series.q))
+                rows.append(RateRow(
+                    nu=nu, t=t, err_l2_velocity=err_hm1, w1_vorticity=w1_sum,
+                    w2_split_sum=w2_sum, q_estimate=q_at_t,
+                ))
+                _check_chain(rows[-1], l1_0, linf0, err_hm1, invariant_violations, series, t)
         # a numerical failure stays in its leg; a programming error fails the run
         except (SolverError, TransportError, CouplingError, FieldError) as e:
             leg_errors.append((nu, f"{type(e).__name__}: {e}"))
@@ -353,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         "resolution_check": "skipped",
     }
     if cfg.check_resolution:
-        flags["resolution_check"] = _resolution_check(cfg, split0, t_end, rows)
+        flags["resolution_check"] = _resolution_check(cfg, euler_tr, rows)
 
     stable = lemma1_ladder_stable(lemma1_fits.values()) if len(lemma1_fits) >= 2 else False
     return RateSeries(
@@ -368,6 +336,11 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
+def _part_measures(tr: SplitTrajectory, t: float, max_support: int) -> list:
+    """Measures of the (clipped) positive and negative parts of a split run at time t."""
+    return [field_to_measure(_clip_nonneg(f), max_support=max_support) for f in tr.state_at(t)]
+
+
 def _clip_nonneg(f: ScalarField2D) -> ScalarField2D:
     """Split parts stay nonnegative up to dispersion-error undershoots; clip them."""
     if np.all(f.values >= 0):
@@ -375,8 +348,8 @@ def _clip_nonneg(f: ScalarField2D) -> ScalarField2D:
     return ScalarField2D(f.grid, np.maximum(f.values, 0.0))
 
 
-def _equalize_mass(mu, nu_m) -> None:
-    """Rescale mu onto nu's total mass.
+def _equalize_mass(mu, nu_m):
+    """mu rescaled onto nu's total mass (a new measure; mu is left as it is).
 
     The masses drift apart because ``_clip_nonneg`` removes different
     undershoots from the viscous and inviscid parts. The largest relative
@@ -384,7 +357,8 @@ def _equalize_mass(mu, nu_m) -> None:
     patch pair at n=128, and 2.2e-6 on that geometry sampled every step.
     """
     if len(mu) and len(nu_m) and nu_m.total_mass > 0:
-        mu.weights = mu.weights * (nu_m.total_mass / mu.total_mass)
+        return mu.scaled(nu_m.total_mass / mu.total_mass)
+    return mu
 
 
 def _average_velocity(a: VectorField2D, b: VectorField2D) -> VectorField2D:
@@ -411,24 +385,15 @@ def _check_chain(row: RateRow, l1_0, linf0, err_hm1, violations, series, t) -> N
         )
 
 
-def _resolution_check(cfg: ExperimentConfig, split0, t_end, rows) -> str:
-    """Grid-doubling estimate of the inviscid reference discretization error."""
+def _resolution_check(cfg: ExperimentConfig, euler_tr: SplitTrajectory, rows) -> str:
+    """Grid-doubling estimate of the discretization error of the reference ``euler_tr``."""
     fine = Grid2D(cfg.n * 2, cfg.length)
-    omega0f = make_initial_data(cfg.initial_kind, fine, **cfg.initial_params)
-    split_f = split_signed(omega0f)
-    scfg = SolverConfig(
-        nu=0.0, dt=cfg.dt, t_end=t_end, dealias=cfg.dealias,
-        record_every=max(1, cfg.record_every),
-    )
-    coarse_tr = run_split(split0.plus, split0.minus, scfg)
-    fine_tr = run_split(split_f.plus, split_f.minus, scfg)
-    wc = coarse_tr.full_at(t_end)
-    wf = fine_tr.full_at(t_end)
+    split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
+    fine_tr = run_split(split_f.plus, split_f.minus, euler_tr.config)
+    wc = euler_tr.full_at(euler_tr.config.t_end)
     # restrict the fine solution to the coarse grid
-    wf_c = ScalarField2D(wc.grid, wf.values[::2, ::2])
-    diff = ScalarField2D(wc.grid, wc.values - wf_c.values)
-    diff = ScalarField2D(wc.grid, diff.values - diff.values.mean())
-    disc_err = hm1_norm(diff)
+    diff = wc.values - fine_tr.full_at(euler_tr.config.t_end).values[::2, ::2]
+    disc_err = hm1_norm(ScalarField2D(wc.grid, diff - diff.mean()))
     smallest = min((r.err_l2_velocity for r in rows), default=math.inf)
     return "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"
 

@@ -15,15 +15,14 @@ import pytest
 
 from vvlab.coupling import advance_coupling, estimate_q, init_coupling
 from vvlab.envelope import OsgoodParams, Regime, crossover_time, integrate_envelope
-from vvlab.evolve import SolverConfig, run, run_split
-from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
-from vvlab.harness import ExperimentConfig, emit_report, run_experiment
+from vvlab.evolve import SolverConfig, run
+from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms
+from vvlab.harness import ExperimentConfig, emit_report, hm1_sweep, run_experiment
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.ratefit import fit_double_exponential_form, fit_rate
 from vvlab.transport import (
     DiscreteMeasure,
     field_to_measure,
-    split_signed,
     wasserstein_brute_force,
     wasserstein_exact,
     wasserstein_sinkhorn,
@@ -57,20 +56,8 @@ def rate_sweep():
     # evaluation times are defined relative to the vorticity amplitude
     assert abs(linf0 - 1.0) < 0.02, "patch amplitude drifted; times below assume 1"
     t_short, t_fixed = 0.1, 1.0
-    sp = split_signed(omega0)
     t0 = time.time()
-    euler = run_split(
-        sp.plus, sp.minus, SolverConfig(nu=0.0, dt=SWEEP_DT, t_end=t_fixed, record_every=50)
-    )
-    errs = {t_short: [], t_fixed: []}
-    for nu in SWEEP_NUS:
-        tr = run_split(
-            sp.plus, sp.minus,
-            SolverConfig(nu=float(nu), dt=SWEEP_DT, t_end=t_fixed, record_every=50),
-        )
-        for t in (t_short, t_fixed):
-            diff = ScalarField2D(grid, tr.full_at(t).values - euler.full_at(t).values)
-            errs[t].append(hm1_norm(diff))
+    errs = hm1_sweep(omega0, SWEEP_NUS, [t_short, t_fixed], SWEEP_DT)
     elapsed = time.time() - t0
     return {
         "errs": errs,

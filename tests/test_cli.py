@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import yaml
 
 from vvlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from vvlab.io import write_csv
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml"
 
 
 @pytest.fixture
@@ -61,6 +64,24 @@ class TestRunVerb:
 
     def test_bad_override_syntax(self, tiny_config):
         assert main(["run", "--config", str(tiny_config), "oops"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override", [
+        ["--transport.method", "sinkhorn", "--transport.epsilon", "-1"],
+        ["--solver.dt", "0"],
+        ["--solver.record_every", "0"],
+        ["--grid.n", "0"],
+        ["--grid.n", "48"],
+        ["--transport.max_support", "0"],
+    ])
+    def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
+        import vvlab.harness as harness_mod
+
+        def no_integration(*args):
+            raise AssertionError("integration started on an invalid config")
+
+        monkeypatch.setattr(harness_mod, "run_split", no_integration)
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
+        assert code == EXIT_CONFIG
 
 
 class TestFitVerb:

@@ -10,6 +10,7 @@ from vvlab.harness import (
     apply_override,
     emit_report,
     run_experiment,
+    hm1_sweep,
     summary_schema,
     _resolve_eval_times,
 )
@@ -231,12 +232,92 @@ class TestRunExperiment:
 
         def recording(mu, nu_m):
             rescales.append(abs(nu_m.total_mass / mu.total_mass - 1.0))
-            real_equalize(mu, nu_m)
+            return real_equalize(mu, nu_m)
 
         monkeypatch.setattr(harness_mod, "_equalize_mass", recording)
         run_experiment(patch_config())
         assert len(rescales) == 2 * len(patch_config().nu_ladder)
         assert max(rescales) < 2e-4
+
+    def test_equalize_mass_returns_new_measure(self):
+        import vvlab.harness as harness_mod
+        from vvlab.transport import DiscreteMeasure
+
+        mu = DiscreteMeasure([[0.1, 0.2], [0.3, 0.4]], [1.0, 3.0], 1.0)
+        nu = DiscreteMeasure([[0.5, 0.5]], [2.0], 1.0)
+        scaled = harness_mod._equalize_mass(mu, nu)
+        assert scaled.total_mass == pytest.approx(2.0, rel=1e-15)
+        assert mu.weights.tolist() == [1.0, 3.0]  # the memo on mu stays valid
+
+    def test_sinkhorn_solves_per_run(self, monkeypatch):
+        # 4 cross terms and 4 viscous self-terms per (nu, t), plus the 4 Euler
+        # self-terms per t, each solved once and reused across the ladder
+        import vvlab.transport as transport
+
+        real = transport._sinkhorn_cost
+        cross, selfs = [], []
+
+        def counting(mu, nu, C, *args):
+            (selfs if mu is nu else cross).append((mu, C.tobytes()))
+            return real(mu, nu, C, *args)
+
+        monkeypatch.setattr(transport, "_sinkhorn_cost", counting)
+        cfg = patch_config(
+            nu_ladder=[3e-2, 1.7e-2, 9.5e-3], times=[0.025, 0.05],
+            transport_method="sinkhorn", transport_epsilon=1e-3, max_support=30,
+        )
+        series = run_experiment(cfg)
+        legs, times = len(cfg.nu_ladder), len(cfg.times)
+        assert series.errors == [] and len(series.rows) == legs * times
+        assert len(cross) + len(selfs) == 8 * legs * times + 4 * times
+        assert len(selfs) == 4 * legs * times + 4 * times
+        # no self-term is solved twice for the same measure and order
+        assert len({(id(m), c) for m, c in selfs}) == len(selfs)
+
+    def test_resolution_check_flag(self):
+        # the grid-doubling check on the coarse Euler run the sweep already holds
+        series = run_experiment(patch_config(check_resolution=True))
+        assert series.flags["resolution_check"] == "untrusted (disc_err=3.816e-03)"
+
+
+class TestHm1Sweep:
+    def test_matches_run_experiment_errors(self, patch_series):
+        from vvlab.fields import Grid2D
+        from vvlab.initial_data import make_initial_data
+
+        cfg = patch_config()
+        omega0 = make_initial_data(
+            cfg.initial_kind, Grid2D(cfg.n, cfg.length), **cfg.initial_params
+        )
+        errs = hm1_sweep(omega0, cfg.nu_ladder, cfg.times, cfg.dt)
+        assert errs == {0.05: [r.err_l2_velocity for r in patch_series.rows]}
+
+    def test_snapshots_at_gcd_of_step_counts(self, monkeypatch):
+        import vvlab.harness as harness_mod
+        from vvlab.fields import Grid2D
+        from vvlab.initial_data import make_initial_data
+
+        real = harness_mod.run_split
+        configs = []
+
+        def recording(plus, minus, scfg):
+            configs.append(scfg)
+            return real(plus, minus, scfg)
+
+        monkeypatch.setattr(harness_mod, "run_split", recording)
+        omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
+        errs = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
+        assert [c.nu for c in configs] == [0.0, 2e-2, 1e-2]
+        assert {c.record_every for c in configs} == {2}  # gcd(4, 6)
+        assert all(len(e) == 2 and all(x > 0 for x in e) for e in errs.values())
+
+    def test_time_off_the_step_grid_rejected(self):
+        from vvlab.fields import Grid2D
+        from vvlab.initial_data import make_initial_data
+
+        omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
+        with pytest.raises(ConfigError, match="time step"):
+            hm1_sweep(omega0, [1e-2], [0.013], 5e-3)
 
 
 class TestChainInvariants:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -20,6 +22,14 @@ def test_rate_sweep(capsys):
     out = capsys.readouterr().out
     assert "t=0.02: errors [" in out
     assert "exponent" in out
+
+
+def test_rate_sweep_rejects_short_ladder(capsys):
+    rate_sweep = load_script("rate_sweep")
+    with pytest.raises(SystemExit) as exit_info:
+        rate_sweep.main(["--n", "32", "--ladder", "3", "--times", "0.02"])
+    assert exit_info.value.code == 2
+    assert "at least 4" in capsys.readouterr().err
 
 
 def test_crossover_scan(capsys):

@@ -291,6 +291,12 @@ class TestColumnGeneration:
         assert len(mu) == len(nu) == 260
         assert_matches_dense(mu, nu, p)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_distance_is_the_exact_route(self, seed, p):
+        mu, nu = unequal_pair(seed, 40, 30)
+        assert transport.distance(mu, nu, p, "exact", 1e-4) == wasserstein_exact(mu, nu, p=p)[0]
+
 
 class TestSinkhorn:
     @pytest.mark.parametrize("seed", range(4))
@@ -299,6 +305,39 @@ class TestSinkhorn:
         exact = wasserstein_exact(mu, nu)[0]
         approx = wasserstein_sinkhorn(mu, nu, epsilon=1e-4)
         assert approx == pytest.approx(exact, rel=0.02)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_distance_is_the_debiased_route(self, seed, p):
+        mu, nu = random_pair(seed, m=12, equal_weights=False)
+        want = wasserstein_sinkhorn(mu, nu, p=p, epsilon=1e-3, max_iter=20000, tol=1e-3)
+        # fresh measures, so the self-terms are solved again rather than recalled
+        fresh = random_pair(seed, m=12, equal_weights=False)
+        assert transport.distance(*fresh, p, "sinkhorn", 1e-3) == want
+        assert transport.distance(*fresh, p, "sinkhorn", 1e-3) == want
+
+    def test_self_terms_memoised_per_measure(self, monkeypatch):
+        mu, nu = random_pair(4, m=8, equal_weights=False)
+        solves = []
+        real = transport._sinkhorn_cost
+
+        def counting(a, b, *args):
+            solves.append(a is b)
+            return real(a, b, *args)
+
+        monkeypatch.setattr(transport, "_sinkhorn_cost", counting)
+        for _ in range(2):
+            transport.distance(mu, nu, 2, "sinkhorn", 1e-3)
+        transport.distance(mu, nu, 1, "sinkhorn", 1e-3)
+        wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-3)  # another tol: another key
+        # cross terms every call; self-terms once per (measure, p, eps, max_iter, tol)
+        assert solves == [False, True, True, False, False, True, True, False, True, True]
+        assert "_self_costs" not in repr(mu)
+
+    def test_distance_rejects_unknown_method(self):
+        mu, nu = random_pair(0)
+        with pytest.raises(TransportError, match="method"):
+            transport.distance(mu, nu, 2, "magic", 1e-3)
 
     def test_self_distance_vanishes(self):
         mu, _ = random_pair(1, m=10)
