@@ -12,10 +12,8 @@ from vvlab.fields import (
     VectorField2D,
     NormReport,
     biot_savart,
-    curl,
     norms,
     hm1_norm,
-    log_lipschitz_ratio,
 )
 from vvlab.initial_data import make_initial_data
 
@@ -25,10 +23,8 @@ __all__ = [
     "VectorField2D",
     "NormReport",
     "biot_savart",
-    "curl",
     "norms",
     "hm1_norm",
-    "log_lipschitz_ratio",
     "make_initial_data",
 ]
 

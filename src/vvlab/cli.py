@@ -28,6 +28,13 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
+def _positive_int(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_overrides(extra: list[str]) -> list[tuple[str, str]]:
     """Flags of the form ``--grid.n 256`` mirror config paths."""
     out = []
@@ -83,7 +90,10 @@ def cmd_fit(args, extra) -> int:
     result = {}
     for t in times:
         sub = [(nu, e) for nu, tt, e in rows if tt == t]
-        fit = fit_rate([s[0] for s in sub], [s[1] for s in sub], transformed=args.transformed)
+        try:
+            fit = fit_rate([s[0] for s in sub], [s[1] for s in sub], transformed=args.transformed)
+        except ValueError as e:
+            raise ConfigError(f"t={t:g}: {e}") from e
         result[repr(t)] = {
             "exponent": fit.exponent,
             "ci": [fit.ci_low, fit.ci_high],
@@ -151,12 +161,12 @@ def main(argv=None) -> int:
     p_fit.add_argument("--json", help="also write the fits to this JSON file")
 
     p_check = sub.add_parser("check", help="run the invariant suites")
-    p_check.add_argument("--instances", type=int, default=200)
+    p_check.add_argument("--instances", type=_positive_int, default=200)
     p_check.add_argument("--seed", type=int, default=0)
 
     p_oracle = sub.add_parser("oracle", help="brute-force transport on small instances")
     p_oracle.add_argument("--instance", help="JSON instance file")
-    p_oracle.add_argument("--atoms", type=int, default=6)
+    p_oracle.add_argument("--atoms", type=_positive_int, default=6)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--p", type=int, default=2, choices=(1, 2))
 

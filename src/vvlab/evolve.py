@@ -3,15 +3,14 @@
 One integrating-factor RK4 kernel (Kassam & Trefethen, SISC 2005) advances
 every trajectory: advection by classical RK4, diffusion exactly by the factor
 exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on a stack of
-S real-FFT half spectra, shape (S, n, n//2+1), advected by a fixed linear
-combination of the stack (the field itself for :func:`run` and :func:`step`,
-plus minus minus for :func:`run_split`) or by a given velocity
-(:func:`advect_frozen`). The gradient and Biot-Savart multipliers, with the
-optional 2/3-rule dealiasing folded in, and the integrating factors are built
-once per trajectory. Each RK stage makes one batched ``irfft2`` (2 velocity
-and 2S gradient spectra) and one batched ``rfft2`` (S advection products).
-The odd derivative multipliers are zero on the Nyquist row and column, which
-the real part of a complex inverse transform also discards.
+S real-FFT half spectra, shape (S, n, n//2+1), advected by the velocity of a
+fixed linear combination of the stack: the field itself for :func:`run`, plus
+minus minus for :func:`run_split`. The gradient and Biot-Savart multipliers,
+with the optional 2/3-rule dealiasing folded in, and the integrating factors
+are built once per trajectory. Each RK stage makes one batched ``irfft2``
+(2 velocity and 2S gradient spectra) and one batched ``rfft2`` (S advection
+products). The odd derivative multipliers are zero on the Nyquist row and
+column, which the real part of a complex inverse transform also discards.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from scipy.fft import irfft2, rfft2
 from vvlab.fields import (
     Grid2D,
     ScalarField2D,
-    VectorField2D,
     NormReport,
     norms,
     require_mean_zero,
@@ -81,11 +79,10 @@ def _check_cfl(max_speed: float, spacing: float, dt: float) -> None:
 class _Kernel:
     """IFRK4 on a stack of ``size`` half spectra, with its operators built once.
 
-    ``coeffs`` weights the stack members into the advecting vorticity; a
-    ``velocity`` given instead advects every member as is (frozen advection).
+    ``coeffs`` weights the stack members into the advecting vorticity.
     """
 
-    def __init__(self, grid: Grid2D, cfg: SolverConfig, size: int, coeffs=None, velocity=None):
+    def __init__(self, grid: Grid2D, cfg: SolverConfig, size: int, coeffs):
         n, half = grid.n, grid.n // 2 + 1
         k1, k2, k_sq, inv_k_sq = (a[:, :half] for a in grid.wavenumbers())
         if cfg.dealias:
@@ -104,11 +101,9 @@ class _Kernel:
         self.out[0, 0] = 0.0  # exact mean-zero preservation
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
         self.e_full = self.e_half * self.e_half
-        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
-        self.velocity = velocity
+        self.coeffs = np.asarray(coeffs, dtype=float)
         # gradient spectra of every member, then the two velocity spectra
-        planes = 2 * size if velocity is not None else 2 * size + 2
-        self.buf = np.empty((planes, n, half), dtype=complex)
+        self.buf = np.empty((2 * size + 2, n, half), dtype=complex)
         self.shape = (n, n)
         self.spacing = grid.spacing
         self.dt = cfg.dt
@@ -118,15 +113,11 @@ class _Kernel:
         s, buf = len(w), self.buf
         np.multiply(self.ik1, w, out=buf[:s])
         np.multiply(self.ik2, w, out=buf[s:2 * s])
-        if self.velocity is None:
-            adv = np.tensordot(self.coeffs, w, axes=1)
-            np.multiply(self.bs1, adv, out=buf[2 * s])
-            np.multiply(self.bs2, adv, out=buf[2 * s + 1])
+        adv = np.tensordot(self.coeffs, w, axes=1)
+        np.multiply(self.bs1, adv, out=buf[2 * s])
+        np.multiply(self.bs2, adv, out=buf[2 * s + 1])
         phys = irfft2(buf, s=self.shape, overwrite_x=True)
-        if self.velocity is None:
-            u1, u2 = phys[2 * s], phys[2 * s + 1]
-        else:
-            u1, u2 = self.velocity.u1, self.velocity.u2
+        u1, u2 = phys[2 * s], phys[2 * s + 1]
         if check_cfl:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
         return self.out * rfft2(u1 * phys[:s] + u2 * phys[s:2 * s])
@@ -150,13 +141,13 @@ def _steps_for(cfg: SolverConfig) -> int:
     return n_steps
 
 
-def _integrate(fields, cfg: SolverConfig, n_steps: int, coeffs=None, velocity=None):
+def _integrate(fields, cfg: SolverConfig, n_steps: int, coeffs):
     """Advance a stack of fields n_steps; returns [(t, values of each field)].
 
     Snapshots are taken every ``record_every`` steps and after the last one.
     """
     grid = fields[0].grid
-    kernel = _Kernel(grid, cfg, len(fields), coeffs, velocity)
+    kernel = _Kernel(grid, cfg, len(fields), coeffs)
     w = rfft2(np.stack([f.values for f in fields]))
     snapshots = []
     for s in range(1, n_steps + 1):
@@ -169,21 +160,8 @@ def _integrate(fields, cfg: SolverConfig, n_steps: int, coeffs=None, velocity=No
     return snapshots
 
 
-def step(omega: ScalarField2D, cfg: SolverConfig) -> ScalarField2D:
-    """Advance the vorticity by one step of the nonlinear dynamics."""
-    require_mean_zero(omega, "time stepping")
-    ((_, values),) = _integrate([omega], cfg, 1, coeffs=[1.0])
-    return ScalarField2D(omega.grid, values[0])
-
-
-def advect_frozen(omega: ScalarField2D, u: VectorField2D, cfg: SolverConfig) -> ScalarField2D:
-    """One RK4 step of passive advection-diffusion by a frozen velocity field."""
-    ((_, values),) = _integrate([omega], cfg, 1, velocity=u)
-    return ScalarField2D(omega.grid, values[0])
-
-
 def run(omega0: ScalarField2D, cfg: SolverConfig) -> Trajectory:
-    """Iterate :func:`step` to t_end, recording every ``record_every`` steps."""
+    """Advance the vorticity to t_end, recording every ``record_every`` steps."""
     require_mean_zero(omega0, "time stepping")
     tr = Trajectory(times=[0.0], states=[omega0], config=cfg, monitors=[norms(omega0)])
     for t, values in _integrate([omega0], cfg, _steps_for(cfg), coeffs=[1.0]):

@@ -1,4 +1,4 @@
-"""Periodic grids, scalar/vector fields, spectral transforms and norms.
+"""Periodic grids, scalar/vector fields, Biot-Savart and norms.
 
 Conventions fixed project-wide:
 
@@ -117,10 +117,6 @@ class ScalarField2D:
             self._spectral.flags.writeable = False
         return self._spectral
 
-    def with_values(self, values: np.ndarray, metadata: dict | None = None) -> "ScalarField2D":
-        return ScalarField2D(self.grid, values, metadata if metadata is not None else dict(self.metadata))
-
-
 @dataclass
 class VectorField2D:
     """Two-component real field (u1, u2) on a :class:`Grid2D`."""
@@ -152,24 +148,6 @@ class NormReport:
     hm1: float
 
 
-def transform_forward(f: ScalarField2D) -> ScalarField2D:
-    """Return ``f`` with its spectral coefficients populated."""
-    f.spectral  # noqa: B018  (forces the cached FFT)
-    return f
-
-
-def transform_inverse(grid: Grid2D, spectral: np.ndarray) -> ScalarField2D:
-    """Real field from unnormalized FFT coefficients."""
-    spectral = np.asarray(spectral, dtype=complex)
-    if spectral.shape != (grid.n, grid.n):
-        raise FieldError(f"spectral shape {spectral.shape} does not match grid n={grid.n}")
-    if not np.all(np.isfinite(spectral)):
-        raise FieldError("spectral coefficients contain non-finite entries")
-    values = np.fft.ifft2(spectral).real
-    out = ScalarField2D(grid, values)
-    return out
-
-
 def require_mean_zero(f: ScalarField2D, what: str) -> None:
     if not f.mean_zero:
         raise NotMeanZeroError(
@@ -192,20 +170,6 @@ def biot_savart(omega: ScalarField2D) -> VectorField2D:
     return VectorField2D(omega.grid, u1, u2)
 
 
-def curl(u: VectorField2D) -> ScalarField2D:
-    """Scalar vorticity d1 u2 - d2 u1, computed spectrally."""
-    k1, k2, _, _ = u.grid.wavenumbers()
-    w_hat = 1j * k1 * np.fft.fft2(u.u2) - 1j * k2 * np.fft.fft2(u.u1)
-    return ScalarField2D(u.grid, np.fft.ifft2(w_hat).real)
-
-
-def divergence_linf(u: VectorField2D) -> float:
-    """Max modulus of the spectral divergence k . u_hat (diagnostic)."""
-    k1, k2, _, _ = u.grid.wavenumbers()
-    div_hat = 1j * k1 * np.fft.fft2(u.u1) + 1j * k2 * np.fft.fft2(u.u2)
-    return float(np.abs(np.fft.ifft2(div_hat)).max())
-
-
 def hm1_norm(f: ScalarField2D) -> float:
     """Homogeneous H^-1 norm; requires a mean-zero field.
 
@@ -226,12 +190,6 @@ def norms(f: ScalarField2D) -> NormReport:
     linf = float(np.abs(f.values).max())
     hm1 = hm1_norm(f) if f.mean_zero else math.nan
     return NormReport(l1=l1, l2=l2, linf=linf, hm1=hm1)
-
-
-def l2_parseval(f: ScalarField2D) -> float:
-    """L2 norm from the spectrum (Parseval cross-check)."""
-    scale = (f.grid.spacing / f.grid.n) ** 2
-    return math.sqrt(scale * float(np.sum(np.abs(f.spectral) ** 2)))
 
 
 def torus_delta(a: np.ndarray, b: np.ndarray, length: float) -> np.ndarray:
@@ -268,49 +226,3 @@ def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
             + v11 * fx * fy
         )
     return out
-
-
-def log_lipschitz_weight(d: np.ndarray) -> np.ndarray:
-    """The modulus d * (1 + log(1 + 1/d)) appearing in the velocity estimate."""
-    d = np.asarray(d, dtype=float)
-    return d * (1.0 + np.log1p(1.0 / d))
-
-
-def log_lipschitz_ratio(u: VectorField2D, samples: int = 2000, rng_seed: int = 0) -> float:
-    """Empirical log-Lipschitz modulus of the velocity field.
-
-    Maximizes |u(x) - u(y)| / [d(x,y) (1 + log(1 + 1/d(x,y)))] over ``samples``
-    random point pairs (torus distance, bilinear evaluation). Deterministic
-    given the seed.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    L = u.grid.length
-    x = rng.uniform(0.0, L, size=(samples, 2))
-    y = rng.uniform(0.0, L, size=(samples, 2))
-    d = torus_distance(x, y, L)
-    keep = d > 1e-12
-    if not np.any(keep):
-        return 0.0
-    du = interpolate_velocity(u, x[keep]) - interpolate_velocity(u, y[keep])
-    num = np.sqrt(np.sum(du * du, axis=-1))
-    return float(np.max(num / log_lipschitz_weight(d[keep])))
-
-
-def log_lipschitz_ratio_dense(u: VectorField2D, stride: int = 4) -> float:
-    """Dense-pair version over grid points (oracle for the sampled estimate)."""
-    n, h, L = u.grid.n, u.grid.spacing, u.grid.length
-    idx = np.arange(0, n, stride)
-    xx, yy = np.meshgrid(idx * h, idx * h, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    vel = np.stack(
-        [u.u1[np.ix_(idx, idx)].ravel(), u.u2[np.ix_(idx, idx)].ravel()], axis=-1
-    )
-    dx = torus_delta(pts[:, None, 0], pts[None, :, 0], L)
-    dy = torus_delta(pts[:, None, 1], pts[None, :, 1], L)
-    d = np.sqrt(dx * dx + dy * dy)
-    dv = vel[:, None, :] - vel[None, :, :]
-    num = np.sqrt(np.sum(dv * dv, axis=-1))
-    mask = d > 1e-12
-    return float(np.max(num[mask] / log_lipschitz_weight(d[mask])))

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"solver dt must be > 0, got {self.dt}")
         if self.record_every < 1:
             raise ConfigError(f"solver record_every must be >= 1, got {self.record_every}")
+        if self.n_particles < 1:
+            raise ConfigError(f"particles count must be >= 1, got {self.n_particles}")
         try:
             grid = Grid2D(self.n, self.length)
         except ValueError as e:

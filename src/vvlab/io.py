@@ -1,70 +1,13 @@
-"""Serialization: binary field container, JSON sidecars, deterministic CSV.
+"""Deterministic CSV writers for the run reports.
 
-Container layout (little-endian): magic ``VVF2``, uint32 version, uint32 n,
-float64 L, then n*n row-major float64 samples. A ``<path>.json`` sidecar
-carries metadata (kind, norms, seed, ...).
+Every report table goes through :func:`write_csv`: UTF-8, LF line endings,
+'.' decimal separator and shortest round-trip ``repr`` floats, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
-
-import numpy as np
-
-from vvlab.fields import Grid2D, ScalarField2D, norms
-
-MAGIC = b"VVF2"
-VERSION = 1
-
-
-class ContainerError(IOError):
-    pass
-
-
-def save_field(path: str | Path, f: ScalarField2D, extra_metadata: dict | None = None) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, f.grid.n))
-        fh.write(struct.pack("<d", f.grid.length))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    rep = norms(f)
-    meta = dict(f.metadata)
-    meta.update(extra_metadata or {})
-    sidecar = {
-        "n": f.grid.n,
-        "length": f.grid.length,
-        "norms": {"l1": rep.l1, "l2": rep.l2, "linf": rep.linf, "hm1": rep.hm1},
-        "metadata": meta,
-    }
-    with open(path.with_suffix(path.suffix + ".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
-
-
-def load_field(path: str | Path) -> ScalarField2D:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ContainerError(f"{path}: bad magic {magic!r}")
-        version, n = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise ContainerError(f"{path}: unsupported container version {version}")
-        (length,) = struct.unpack("<d", fh.read(8))
-        payload = fh.read(8 * n * n)
-        if len(payload) != 8 * n * n:
-            raise ContainerError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f8")
-    grid = Grid2D(n=n, length=length)
-    f = ScalarField2D(grid, data.reshape(n, n).copy())
-    sidecar = path.with_suffix(path.suffix + ".json")
-    if sidecar.exists():
-        with open(sidecar, encoding="utf-8") as fh:
-            f.metadata.update(json.load(fh).get("metadata", {}))
-    return f
 
 
 def format_float(x: float) -> str:
@@ -78,14 +21,6 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_monitor_csv(path: str | Path, times, monitors) -> None:
-    rows = [
-        (float(t), m.l1, m.l2, m.linf, m.hm1)
-        for t, m in zip(times, monitors)
-    ]
-    write_csv(path, ["t", "l1", "l2", "linf", "hm1"], rows)
 
 
 def write_q_csv(path: str | Path, series) -> None:

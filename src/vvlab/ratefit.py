@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,7 +79,3 @@ def fit_rate(
 def fit_double_exponential_form(nus, values) -> RateFit:
     """Fit value = K (nu/|log nu|)^p, the fixed-time envelope form."""
     return fit_rate(nus, values, transformed=True, n_bootstrap=500)
-
-
-def prefactor(fit: RateFit) -> float:
-    return math.exp(fit.intercept)

@@ -72,9 +72,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def translated(self, shift) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.points + np.asarray(shift), self.weights.copy(), self.length)
-
     def scaled(self, c: float) -> "DiscreteMeasure":
         return DiscreteMeasure(self.points.copy(), c * self.weights, self.length)
 

@@ -72,6 +72,7 @@ class TestRunVerb:
         ["--grid.n", "0"],
         ["--grid.n", "48"],
         ["--transport.max_support", "0"],
+        ["--particles.count", "0"],
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod
@@ -102,6 +103,13 @@ class TestFitVerb:
         write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
         assert main(["fit", str(csv_path), "--time", "9.9"]) == EXIT_CONFIG
 
+    def test_fit_too_few_rows_is_config_error(self, tmp_path, capsys):
+        rows = [(1e-3, 0.1, 0.5), (1e-4, 0.1, 0.2), (1e-5, 0.1, 0.1)]
+        csv_path = tmp_path / "rates.csv"
+        write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
+        assert main(["fit", str(csv_path)]) == EXIT_CONFIG
+        assert "t=0.1" in capsys.readouterr().err
+
 
 class TestCheckVerb:
     def test_small_suite_passes(self, capsys):
@@ -110,12 +118,24 @@ class TestCheckVerb:
         assert "ordering" in out
         assert "duality" in out
 
+    def test_zero_instances_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--instances", "0"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestOracleVerb:
     def test_random_instance_agrees(self, capsys):
         assert main(["oracle", "--atoms", "5", "--seed", "1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "brute force" in out
+
+    def test_zero_atoms_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--atoms", "0"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_instance_file(self, tmp_path):
         spec = {

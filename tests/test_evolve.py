@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,11 @@ from vvlab.evolve import (
     SolverConfig,
     SolverError,
     Trajectory,
-    advect_frozen,
     check_apriori,
     run,
     run_split,
-    step,
 )
-from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, biot_savart, norms
+from vvlab.fields import Grid2D, ScalarField2D, norms
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.transport import split_signed
 from tests.conftest import random_mean_zero_field
@@ -25,36 +24,41 @@ def tg64(grid64):
     return make_initial_data("taylor_green", grid64)
 
 
+def one_step(omega, cfg):
+    """One solver step of ``cfg``, taken by :func:`run` with t_end = dt."""
+    return run(omega, replace(cfg, t_end=cfg.dt)).states[-1]
+
+
 class TestStep:
     def test_zero_field_stays_zero(self, grid64):
         z = ScalarField2D(grid64, np.zeros((64, 64)))
-        out = step(z, SolverConfig(nu=0.05, dt=1e-2, t_end=1.0))
+        out = one_step(z, SolverConfig(nu=0.05, dt=1e-2, t_end=1.0))
         assert np.abs(out.values).max() == 0.0
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.05])
     def test_taylor_green_one_step_exact(self, grid64, tg64, nu):
         # advection vanishes identically for this datum, diffusion is exact
         dt = 1e-3
-        out = step(tg64, SolverConfig(nu=nu, dt=dt, t_end=1.0))
+        out = one_step(tg64, SolverConfig(nu=nu, dt=dt, t_end=1.0))
         expected = tg64.values * math.exp(-taylor_green_decay_rate(grid64, nu) * dt)
         assert np.abs(out.values - expected).max() < 1e-10 * np.abs(expected).max()
 
     def test_euler_enstrophy_one_step(self, grid64):
         w = random_mean_zero_field(grid64, 3)
         cfg = SolverConfig(nu=0.0, dt=1e-3, t_end=1.0)
-        out = step(w, cfg)
+        out = one_step(w, cfg)
         assert norms(out).l2 == pytest.approx(norms(w).l2, abs=1e-8)
 
     def test_mean_zero_preserved_exactly(self, grid64):
         w = random_mean_zero_field(grid64, 9)
-        out = step(w, SolverConfig(nu=1e-3, dt=1e-3, t_end=1.0))
+        out = one_step(w, SolverConfig(nu=1e-3, dt=1e-3, t_end=1.0))
         assert abs(out.values.mean()) < 1e-14
 
     def test_cfl_violation_reports_speed(self, grid64):
         w = random_mean_zero_field(grid64, 1)
         strong = ScalarField2D(grid64, 100.0 * w.values)
         with pytest.raises(SolverError, match=r"max\|u\|"):
-            step(strong, SolverConfig(nu=0.0, dt=10.0, t_end=100.0))
+            one_step(strong, SolverConfig(nu=0.0, dt=10.0, t_end=100.0))
 
     def test_fourth_order_accuracy(self, grid64):
         # halving dt must drop the step error by at least 2^4; a second order
@@ -63,11 +67,8 @@ class TestStep:
         w = ScalarField2D(grid64, 20.0 * w0.values)
 
         def advance(dt, steps):
-            cfg = SolverConfig(nu=0.0, dt=dt, t_end=1.0)
-            f = w
-            for _ in range(steps):
-                f = step(f, cfg)
-            return f.values
+            cfg = SolverConfig(nu=0.0, dt=dt, t_end=steps * dt, record_every=steps)
+            return run(w, cfg).states[-1].values
 
         dt = 0.02
         ref = advance(dt / 8, 8)
@@ -76,17 +77,6 @@ class TestStep:
         err_fine = np.abs(advance(dt / 2, 1) - ref2).max()
         ratio = err_coarse / err_fine
         assert 12 < ratio < 50
-
-
-class TestFrozenVelocityAdvection:
-    def test_reversal_returns_initial(self, grid64):
-        w = random_mean_zero_field(grid64, 2)
-        u = biot_savart(w)
-        cfg = SolverConfig(nu=0.0, dt=1e-3, t_end=1.0)
-        fwd = advect_frozen(w, u, cfg)
-        neg = VectorField2D(grid64, -u.u1, -u.u2)
-        back = advect_frozen(fwd, neg, cfg)
-        assert np.abs(back.values - w.values).max() < 1e-8 * np.abs(w.values).max()
 
 
 class TestRun:
@@ -209,16 +199,13 @@ def _reference_mask(grid, enabled):
     return np.outer(m1d, m1d).astype(float)
 
 
-def _reference_rhs(w_hats, grid, mask, vel_pair, velocity):
+def _reference_rhs(w_hats, grid, mask, vel_pair):
     k1, k2, _, inv_k_sq = grid.wavenumbers()
-    if velocity is None:
-        i, j = vel_pair
-        adv_hat = (w_hats[i] if i == j else w_hats[i] - w_hats[j]) * mask
-        psi_hat = -adv_hat * inv_k_sq
-        u1 = np.fft.ifft2(-1j * k2 * psi_hat).real
-        u2 = np.fft.ifft2(1j * k1 * psi_hat).real
-    else:
-        u1, u2 = velocity.u1, velocity.u2
+    i, j = vel_pair
+    adv_hat = (w_hats[i] if i == j else w_hats[i] - w_hats[j]) * mask
+    psi_hat = -adv_hat * inv_k_sq
+    u1 = np.fft.ifft2(-1j * k2 * psi_hat).real
+    u2 = np.fft.ifft2(1j * k1 * psi_hat).real
     out = np.empty_like(w_hats)
     for s in range(w_hats.shape[0]):
         wd = w_hats[s] * mask
@@ -231,7 +218,7 @@ def _reference_rhs(w_hats, grid, mask, vel_pair, velocity):
     return out
 
 
-def reference_integrate(fields, cfg, n_steps, vel_pair=(0, 0), velocity=None):
+def reference_integrate(fields, cfg, n_steps, vel_pair=(0, 0)):
     """Values of every field after each step, by the complex-FFT IFRK4."""
     grid = fields[0].grid
     _, _, k_sq, _ = grid.wavenumbers()
@@ -239,7 +226,7 @@ def reference_integrate(fields, cfg, n_steps, vel_pair=(0, 0), velocity=None):
     dt = cfg.dt
 
     def rhs(w):
-        return dt * _reference_rhs(w, grid, mask, vel_pair, velocity)
+        return dt * _reference_rhs(w, grid, mask, vel_pair)
 
     w = np.stack([f.spectral for f in fields])
     history = []
@@ -280,7 +267,7 @@ class TestKernelMatchesComplexReference:
         (ref,) = reference_integrate([strong], cfg, 1)
         ref = ref[0]
         assert _rel_err(ref, strong.values) > 1e-4
-        assert _rel_err(step(strong, cfg).values, ref) <= 1e-12
+        assert _rel_err(one_step(strong, cfg).values, ref) <= 1e-12
 
     @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
     def test_run(self, strong, dealias, nu):
@@ -300,10 +287,3 @@ class TestKernelMatchesComplexReference:
         plus, minus = run_split(sp.plus, sp.minus, cfg).state_at(0.02)
         assert _rel_err(plus.values, ref[0]) <= 1e-12
         assert _rel_err(minus.values, ref[1]) <= 1e-12
-
-    @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
-    def test_advect_frozen(self, grid32, strong, dealias, nu):
-        u = biot_savart(random_mean_zero_field(grid32, 12, k_max=14))
-        cfg = SolverConfig(nu=nu, dt=2e-3, t_end=1.0, dealias=dealias)
-        (ref,) = reference_integrate([strong], cfg, 1, velocity=u)
-        assert _rel_err(advect_frozen(strong, u, cfg).values, ref[0]) <= 1e-12

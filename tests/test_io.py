@@ -1,64 +1,5 @@
-import json
-
-import numpy as np
-import pytest
-
 from vvlab.coupling import QEstimate, QSeries
-from vvlab.fields import Grid2D, ScalarField2D, norms
-from vvlab.io import (
-    ContainerError,
-    format_float,
-    load_field,
-    save_field,
-    write_csv,
-    write_monitor_csv,
-    write_q_csv,
-)
-from tests.conftest import random_mean_zero_field
-
-
-class TestFieldContainer:
-    def test_round_trip_bit_exact(self, grid32, tmp_path):
-        f = random_mean_zero_field(grid32, 4)
-        f.metadata["kind"] = "test"
-        p = tmp_path / "field.vvf"
-        save_field(p, f)
-        g = load_field(p)
-        np.testing.assert_array_equal(g.values, f.values)
-        assert g.grid == f.grid
-        assert g.metadata["kind"] == "test"
-
-    def test_sidecar_contents(self, grid32, tmp_path):
-        f = random_mean_zero_field(grid32, 1)
-        p = tmp_path / "field.vvf"
-        save_field(p, f, extra_metadata={"seed": 1})
-        side = json.loads((tmp_path / "field.vvf.json").read_text())
-        assert side["n"] == 32
-        assert side["metadata"]["seed"] == 1
-        assert side["norms"]["l2"] == pytest.approx(norms(f).l2)
-
-    def test_write_is_deterministic(self, grid32, tmp_path):
-        f = random_mean_zero_field(grid32, 2)
-        pa, pb = tmp_path / "a.vvf", tmp_path / "b.vvf"
-        save_field(pa, f)
-        save_field(pb, f)
-        assert pa.read_bytes() == pb.read_bytes()
-        assert (tmp_path / "a.vvf.json").read_bytes() == (tmp_path / "b.vvf.json").read_bytes()
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk.vvf"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ContainerError, match="magic"):
-            load_field(p)
-
-    def test_truncated_payload_rejected(self, grid32, tmp_path):
-        f = random_mean_zero_field(grid32, 3)
-        p = tmp_path / "cut.vvf"
-        save_field(p, f)
-        data = p.read_bytes()
-        p.write_bytes(data[: len(data) - 100])
-        with pytest.raises(ContainerError, match="truncated"):
-            load_field(p)
+from vvlab.io import format_float, write_csv, write_q_csv
 
 
 class TestCsv:
@@ -70,14 +11,6 @@ class TestCsv:
         p = tmp_path / "t.csv"
         write_csv(p, ["a", "b"], [(1.5, 2), (0.1, 3)])
         assert p.read_text() == "a,b\n1.5,2\n0.1,3\n"
-
-    def test_monitor_csv(self, grid32, tmp_path):
-        f = random_mean_zero_field(grid32, 0)
-        p = tmp_path / "mon.csv"
-        write_monitor_csv(p, [0.0, 0.5], [norms(f), norms(f)])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "t,l1,l2,linf,hm1"
-        assert len(lines) == 3
 
     def test_q_csv(self, tmp_path):
         series = QSeries(entries=[QEstimate(time=0.1, q_plus=1.0, q_minus=0.5, stderr=0.01)])
