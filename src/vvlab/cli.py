@@ -22,6 +22,7 @@ import numpy as np
 import yaml
 
 from vvlab.harness import ConfigError, ExperimentConfig, apply_override, emit_report, run_experiment
+from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -166,7 +167,9 @@ def main(argv=None) -> int:
 
     p_oracle = sub.add_parser("oracle", help="brute-force transport on small instances")
     p_oracle.add_argument("--instance", help="JSON instance file")
-    p_oracle.add_argument("--atoms", type=_positive_int, default=6)
+    atoms = range(1, BRUTE_FORCE_MAX_ATOMS + 1)  # what the brute-force oracle handles
+    p_oracle.add_argument("--atoms", type=_positive_int, default=6, choices=atoms,
+                          metavar=f"1..{atoms[-1]}")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--p", type=int, default=2, choices=(1, 2))
 

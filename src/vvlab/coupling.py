@@ -19,6 +19,7 @@ from vvlab.fields import (
     VectorField2D,
     interpolate_velocity,
     torus_distance,
+    torus_wrap,
 )
 from vvlab.transport import split_signed
 
@@ -39,8 +40,8 @@ class CouplingEnsemble:
     step_index: int = 0
 
     def __post_init__(self):
-        self.x = np.mod(np.asarray(self.x, float).reshape(-1, 2), self.length)
-        self.y = np.mod(np.asarray(self.y, float).reshape(-1, 2), self.length)
+        self.x = torus_wrap(np.asarray(self.x, float).reshape(-1, 2), self.length)
+        self.y = torus_wrap(np.asarray(self.y, float).reshape(-1, 2), self.length)
         self.weights = np.asarray(self.weights, float).reshape(-1)
         self.signs = np.asarray(self.signs, int).reshape(-1)
 

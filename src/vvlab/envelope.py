@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,8 @@ def integrate_envelope(
     nu*t to the output, the substituted variable that satisfies the same
     inequality and dominates the floor Q >= nu t.
     """
+    from scipy.integrate import solve_ivp
+
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be > 0")
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
@@ -111,6 +111,8 @@ def crossover_time(p: OsgoodParams) -> CrossoverResult:
     Valid in the asymptotic regime nu << 1; the defining function is monotone
     in t, so bisection on [tiny, 1] is safe.
     """
+    from scipy.optimize import brentq
+
     nu = p.nu
     if not (0 < nu < 1):
         raise ValueError("crossover time is defined for 0 < nu < 1")

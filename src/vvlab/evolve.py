@@ -11,6 +11,8 @@ are built once per trajectory. Each RK stage makes one batched ``irfft2``
 (2 velocity and 2S gradient spectra) and one batched ``rfft2`` (S advection
 products). The odd derivative multipliers are zero on the Nyquist row and
 column, which the real part of a complex inverse transform also discards.
+A :func:`run` snapshot inverts its one member; a :func:`run_split` snapshot
+inverts both members and their undealiased velocity in one ``irfft2``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from vvlab.fields import (
     Grid2D,
     ScalarField2D,
     NormReport,
+    VectorField2D,
     norms,
     require_mean_zero,
 )
@@ -94,9 +97,13 @@ class _Kernel:
         self.ik2 = 1j * k2 * mask
         self.ik1[n // 2, :] = 0.0
         self.ik2[:, n // 2] = 0.0
-        # u = grad^perp psi with psi_hat = -omega_hat / |k|^2
-        self.bs1 = self.ik2 * inv_k_sq
-        self.bs2 = -self.ik1 * inv_k_sq
+        # u = grad^perp psi with psi_hat = -omega_hat / |k|^2; the advecting
+        # velocity is dealiased, the snapshot one is not, like fields.biot_savart
+        self.vel1 = 1j * k2 * inv_k_sq
+        self.vel2 = -1j * k1 * inv_k_sq
+        self.vel1[:, n // 2] = 0.0
+        self.vel2[n // 2, :] = 0.0
+        self.bs1, self.bs2 = self.vel1 * mask, self.vel2 * mask
         self.out = -cfg.dt * mask
         self.out[0, 0] = 0.0  # exact mean-zero preservation
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
@@ -122,6 +129,16 @@ class _Kernel:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
         return self.out * rfft2(u1 * phys[:s] + u2 * phys[s:2 * s])
 
+    def snapshot(self, w: np.ndarray, members: bool = True) -> np.ndarray:
+        """Physical values of every stack member (if ``members``), then the velocity (u1, u2)."""
+        s = len(w) if members else 0
+        buf = self.buf[:s + 2]
+        buf[:s] = w[:s]
+        adv = np.tensordot(self.coeffs, w, axes=1)
+        np.multiply(self.vel1, adv, out=buf[s])
+        np.multiply(self.vel2, adv, out=buf[s + 1])
+        return irfft2(buf, s=self.shape, overwrite_x=True)
+
     def step(self, w: np.ndarray) -> np.ndarray:
         e_half, e_full = self.e_half, self.e_full
         k1 = self.rhs(w, check_cfl=True)
@@ -141,31 +158,26 @@ def _steps_for(cfg: SolverConfig) -> int:
     return n_steps
 
 
-def _integrate(fields, cfg: SolverConfig, n_steps: int, coeffs):
-    """Advance a stack of fields n_steps; returns [(t, values of each field)].
-
-    Snapshots are taken every ``record_every`` steps and after the last one.
-    """
-    grid = fields[0].grid
-    kernel = _Kernel(grid, cfg, len(fields), coeffs)
-    w = rfft2(np.stack([f.values for f in fields]))
-    snapshots = []
+def _integrate(kernel: _Kernel, w: np.ndarray, cfg: SolverConfig):
+    """Advance the spectra ``w`` to t_end; yields (t, spectra) every
+    ``record_every`` steps and after the last one."""
+    n_steps = _steps_for(cfg)
     for s in range(1, n_steps + 1):
         try:
             w = kernel.step(w)
         except SolverError as e:
             raise SolverError(f"step {s} (t={s * cfg.dt:.4g}): {e}") from e
         if s % cfg.record_every == 0 or s == n_steps:
-            snapshots.append((s * cfg.dt, irfft2(w, s=kernel.shape)))
-    return snapshots
+            yield s * cfg.dt, w
 
 
 def run(omega0: ScalarField2D, cfg: SolverConfig) -> Trajectory:
     """Advance the vorticity to t_end, recording every ``record_every`` steps."""
     require_mean_zero(omega0, "time stepping")
+    kernel = _Kernel(omega0.grid, cfg, 1, coeffs=[1.0])
     tr = Trajectory(times=[0.0], states=[omega0], config=cfg, monitors=[norms(omega0)])
-    for t, values in _integrate([omega0], cfg, _steps_for(cfg), coeffs=[1.0]):
-        f = ScalarField2D(omega0.grid, values[0])
+    for t, w in _integrate(kernel, rfft2(omega0.values[None]), cfg):
+        f = ScalarField2D(omega0.grid, irfft2(w, s=kernel.shape)[0])
         tr.times.append(t)
         tr.states.append(f)
         tr.monitors.append(norms(f))
@@ -178,11 +190,13 @@ class SplitTrajectory:
 
     The difference plus[i] - minus[i] coincides with the nonlinear solution, so
     one split run yields both the signed parts and the full field.
+    ``velocity[i]`` is the Biot-Savart velocity of that difference.
     """
 
     times: list[float]
     plus: list[ScalarField2D]
     minus: list[ScalarField2D]
+    velocity: list[VectorField2D]
     config: SolverConfig
 
     def state_at(self, t: float):
@@ -199,15 +213,21 @@ def run_split(
 ) -> SplitTrajectory:
     """Evolve the signed parts as passive scalars in their own induced flow."""
     grid = omega0_plus.grid
+    kernel = _Kernel(grid, cfg, 2, coeffs=[1.0, -1.0])
+    w = rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
     tr = SplitTrajectory(
-        times=[0.0], plus=[omega0_plus], minus=[omega0_minus], config=cfg
+        times=[0.0],
+        plus=[omega0_plus],
+        minus=[omega0_minus],
+        velocity=[VectorField2D(grid, *kernel.snapshot(w, members=False))],
+        config=cfg,
     )
-    for t, values in _integrate(
-        [omega0_plus, omega0_minus], cfg, _steps_for(cfg), coeffs=[1.0, -1.0]
-    ):
+    for t, w in _integrate(kernel, w, cfg):
+        values = kernel.snapshot(w)
         tr.times.append(t)
         tr.plus.append(ScalarField2D(grid, values[0]))
         tr.minus.append(ScalarField2D(grid, values[1]))
+        tr.velocity.append(VectorField2D(grid, values[2], values[3]))
     return tr
 
 

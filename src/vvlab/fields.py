@@ -204,21 +204,29 @@ def torus_distance(x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
+def torus_wrap(x: np.ndarray, period: float) -> np.ndarray:
+    """``np.mod(x, period)``, skipped when every entry already lies in [0, period)."""
+    if x.size and x.min() >= 0 and x.max() < period:
+        return x
+    return np.mod(x, period)
+
+
 def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
     """Bilinear periodic interpolation of ``u`` at points of shape (m, 2)."""
     pts = np.asarray(points, dtype=float)
     n, h = u.grid.n, u.grid.spacing
-    s = np.mod(pts / h, n)
-    i0 = np.floor(s).astype(int) % n
-    frac = s - np.floor(s)
+    s = torus_wrap(pts / h, n)
+    floor = np.floor(s)
+    i0 = floor.astype(int) % n
+    frac = s - floor
     i1 = (i0 + 1) % n
     fx, fy = frac[:, 0], frac[:, 1]
+    # flat indices of the four corners into the row-major n x n samples
+    r0, r1 = n * i0[:, 0], n * i1[:, 0]
+    corners = (r0 + i0[:, 1], r1 + i0[:, 1], r0 + i1[:, 1], r1 + i1[:, 1])
     out = np.empty_like(pts)
     for c, comp in enumerate((u.u1, u.u2)):
-        v00 = comp[i0[:, 0], i0[:, 1]]
-        v10 = comp[i1[:, 0], i0[:, 1]]
-        v01 = comp[i0[:, 0], i1[:, 1]]
-        v11 = comp[i1[:, 0], i1[:, 1]]
+        v00, v10, v01, v11 = (comp.take(k) for k in corners)
         out[:, c] = (
             v00 * (1 - fx) * (1 - fy)
             + v10 * fx * (1 - fy)

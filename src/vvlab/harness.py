@@ -198,17 +198,6 @@ def _resolve_eval_times(cfg: ExperimentConfig):
     return [_steps(t, snap_dt, what) * snap_dt for t in cfg.times]
 
 
-def _velocity_cache(tr: SplitTrajectory):
-    cache: dict[int, VectorField2D] = {}
-
-    def vel(i: int) -> VectorField2D:
-        if i not in cache:
-            cache[i] = biot_savart(tr.full_at(tr.times[i]))
-        return cache[i]
-
-    return vel
-
-
 def _hm1_error(tr: SplitTrajectory, ref: SplitTrajectory, t: float):
     """Vorticity difference of two runs at time t and its H^-1 norm (the velocity L2 error)."""
     a, b = tr.full_at(t), ref.full_at(t)
@@ -249,7 +238,6 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         nu=0.0, dt=cfg.dt, t_end=t_end, dealias=cfg.dealias, record_every=cfg.record_every
     )
     euler_tr = run_split(split0.plus, split0.minus, scfg_euler)
-    euler_vel = _velocity_cache(euler_tr)
 
     linf0 = norms(omega0).linf
     l1_0 = norms(omega0).l1
@@ -266,15 +254,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     for leg, nu in enumerate(cfg.nu_ladder):
         try:
             ns_tr = run_split(split0.plus, split0.minus, replace(scfg_euler, nu=nu))
-            ns_vel = _velocity_cache(ns_tr)
 
             # particle coupling along the snapshot grid
             ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
             entries = [estimate_q(ens)]
             for i in range(len(ns_tr.times) - 1):
                 dtc = ns_tr.times[i + 1] - ns_tr.times[i]
-                u_mid = _average_velocity(euler_vel(i), euler_vel(i + 1))
-                unu_mid = _average_velocity(ns_vel(i), ns_vel(i + 1))
+                u_mid = _average_velocity(*euler_tr.velocity[i:i + 2])
+                unu_mid = _average_velocity(*ns_tr.velocity[i:i + 2])
                 ens = advance_coupling(ens, u_mid, unu_mid, nu, dtc)
                 entries.append(estimate_q(ens))
             series = QSeries(entries=entries)
@@ -308,6 +295,8 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
                     w2_split_sum=w2_sum, q_estimate=q_at_t,
                 ))
                 _check_chain(rows[-1], l1_0, linf0, err_hm1, invariant_violations, series, t)
+            # drop this leg's snapshots and velocities before the next leg integrates
+            del ns_tr
         # a numerical failure stays in its leg; a programming error fails the run
         except (SolverError, TransportError, CouplingError, FieldError) as e:
             leg_errors.append((nu, f"{type(e).__name__}: {e}"))

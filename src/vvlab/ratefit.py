@@ -55,15 +55,16 @@ def fit_rate(
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
 
-    rng = np.random.default_rng(rng_seed)
-    slopes = np.empty(n_bootstrap)
+    # one draw of all resamples, row by row the same indices as one draw each
     m = len(x)
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, m, size=m)
-        if np.ptp(x[idx]) == 0:
-            slopes[b] = slope
-            continue
-        slopes[b] = np.polyfit(x[idx], y[idx], 1)[0]
+    idx = np.random.default_rng(rng_seed).integers(0, m, size=(n_bootstrap, m))
+    xb, yb = x[idx], y[idx]
+    dx = xb - xb.mean(axis=1, keepdims=True)
+    dy = yb - yb.mean(axis=1, keepdims=True)
+    # a resample with a single abscissa has no slope; it keeps the full fit's
+    slopes = np.full(n_bootstrap, float(slope))
+    np.divide((dx * dy).sum(axis=1), (dx * dx).sum(axis=1), out=slopes,
+              where=np.ptp(xb, axis=1) != 0)
     lo, hi = np.percentile(slopes, [2.5, 97.5])
     return RateFit(
         exponent=float(slope),

@@ -32,6 +32,7 @@ from vvlab.fields import ScalarField2D, hm1_norm, norms, torus_delta
 
 MASS_RTOL = 1e-8
 MASS_FLOOR_RTOL = 1e-12
+BRUTE_FORCE_MAX_ATOMS = 8  # m! assignments are enumerated
 NEIGHBOURS = 8  # nearest partners per atom to start; entering pairs per row/column
 PRICING_RTOL = 1e-12  # reduced-cost threshold, relative to the largest cost
 # Stopping rule of the Sinkhorn route of :func:`distance`. On the short_time
@@ -279,13 +280,13 @@ def _solve_restricted(c, i, j, a, b):
 def wasserstein_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> float:
     """Exhaustive assignment enumeration; equal-weight equal-size instances only.
 
-    Independent oracle for :func:`wasserstein_exact` on <= 8 atoms.
+    Independent oracle for :func:`wasserstein_exact` on <= BRUTE_FORCE_MAX_ATOMS atoms.
     """
     _check_order(p)
     _check_mass_equality(mu, nu)
     m = len(mu)
-    if m != len(nu) or m > 8:
-        raise TransportError("brute force handles equal-size instances with <= 8 atoms")
+    if m != len(nu) or m > BRUTE_FORCE_MAX_ATOMS:
+        raise TransportError(f"brute force needs equal sizes, <= {BRUTE_FORCE_MAX_ATOMS} atoms")
     if m == 0:
         return 0.0
     w0 = mu.weights[0]

@@ -137,6 +137,12 @@ class TestOracleVerb:
         assert exit_info.value.code == EXIT_CONFIG
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_more_atoms_than_the_oracle_handles_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--atoms", "9"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "invalid choice: 9" in capsys.readouterr().err
+
     def test_instance_file(self, tmp_path):
         spec = {
             "length": 1.0,

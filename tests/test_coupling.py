@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vvlab
 from vvlab.coupling import (
     CouplingEnsemble,
     CouplingError,
@@ -72,6 +77,13 @@ class TestInit:
         # stratification makes the counts tighter than multinomial; chi2 should
         # be at most of order dof
         assert chi2 < 2.0 * dof
+
+    def test_positions_wrapped_onto_the_torus(self):
+        pts = np.array([[0.0, 0.25], [0.999, 0.5], [-0.25, 0.5], [1.0, 1.75], [-1e-18, 0.5]])
+        ens = CouplingEnsemble(x=pts[:2], y=pts, weights=np.ones(5), signs=np.ones(5),
+                               length=1.0, rng_seed=0)
+        assert np.array_equal(ens.x, pts[:2])
+        assert np.array_equal(ens.y, np.mod(pts, 1.0))
 
     def test_rejects_empty(self):
         g = Grid2D(32, 1.0)
@@ -233,6 +245,21 @@ class TestLemma1:
         ]
         rep = check_lemma1(QSeries(entries=entries), nu=1e-3)
         assert not rep.conclusive
+
+    def test_fit_does_not_import_the_ode_solver(self):
+        # the envelope's ODE and root solvers load only when they are used
+        code = (
+            "import sys\n"
+            "from vvlab.coupling import QEstimate, QSeries, check_lemma1\n"
+            "entries = [QEstimate(0.01 * (i + 1), 1e-4 * (i + 1), 0.0, 0.0) for i in range(12)]\n"
+            "check_lemma1(QSeries(entries), nu=1e-3)\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        src = str(Path(vvlab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_ladder_stability(self):
         assert lemma1_ladder_stable([1.0, 1.3, 1.8])

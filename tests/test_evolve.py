@@ -13,7 +13,7 @@ from vvlab.evolve import (
     run,
     run_split,
 )
-from vvlab.fields import Grid2D, ScalarField2D, norms
+from vvlab.fields import Grid2D, ScalarField2D, biot_savart, norms
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.transport import split_signed
 from tests.conftest import random_mean_zero_field
@@ -153,6 +153,32 @@ class TestSplitRun:
         for p in tr.plus:
             # advection-diffusion of a nonnegative scalar conserves its integral
             assert p.grid.spacing ** 2 * p.values.sum() == pytest.approx(m0, rel=1e-10)
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("datum", ["patch_pair", "full_spectrum"])
+    def test_snapshot_velocity_is_biot_savart(self, dealias, datum):
+        g = Grid2D(64, 1.0)
+        if datum == "patch_pair":
+            w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.4)
+        else:  # energy up to the Nyquist row and column
+            w0 = random_mean_zero_field(g, 12, k_max=46)
+        sp = split_signed(w0)
+        cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.02, dealias=dealias, record_every=5)
+        tr = run_split(sp.plus, sp.minus, cfg)
+        assert tr.times == pytest.approx([0.0, 0.01, 0.02])
+        assert len(tr.velocity) == len(tr.plus) == len(tr.minus) == 3
+        assert tr.plus[0] is sp.plus and tr.minus[0] is sp.minus
+        for t, u in zip(tr.times, tr.velocity):
+            ref = biot_savart(tr.full_at(t))
+            scale = max(np.abs(ref.u1).max(), np.abs(ref.u2).max())
+            assert np.abs(u.u1 - ref.u1).max() <= 1e-13 * scale
+            assert np.abs(u.u2 - ref.u2).max() <= 1e-13 * scale
+
+    def test_run_states_do_not_pin_the_velocity(self, grid64):
+        tr = run(random_mean_zero_field(grid64, 3), SolverConfig(nu=0.0, dt=1e-3, t_end=2e-3))
+        for state in tr.states[1:]:
+            owner = state.values if state.values.base is None else state.values.base
+            assert owner.nbytes == state.values.nbytes
 
 
 class TestApriori:

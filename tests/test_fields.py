@@ -175,6 +175,57 @@ class TestInterpolation:
         np.testing.assert_allclose(a, b, atol=1e-13)
 
 
+def reference_interpolate(u, points):
+    """The bilinear interpolation as first written: np.mod always, 2D fancy indexing."""
+    pts = np.asarray(points, dtype=float)
+    n, h = u.grid.n, u.grid.spacing
+    s = np.mod(pts / h, n)
+    i0 = np.floor(s).astype(int) % n
+    frac = s - np.floor(s)
+    i1 = (i0 + 1) % n
+    fx, fy = frac[:, 0], frac[:, 1]
+    out = np.empty_like(pts)
+    for c, comp in enumerate((u.u1, u.u2)):
+        v00 = comp[i0[:, 0], i0[:, 1]]
+        v10 = comp[i1[:, 0], i0[:, 1]]
+        v01 = comp[i0[:, 0], i1[:, 1]]
+        v11 = comp[i1[:, 0], i1[:, 1]]
+        out[:, c] = (
+            v00 * (1 - fx) * (1 - fy)
+            + v10 * fx * (1 - fy)
+            + v01 * (1 - fx) * fy
+            + v11 * fx * fy
+        )
+    return out
+
+
+class TestInterpolationMatchesReference:
+    @pytest.fixture
+    def u(self, grid32):
+        return biot_savart(random_mean_zero_field(grid32, 4))
+
+    @pytest.mark.parametrize("where", ["inside", "boundary", "negative", "beyond", "mixed"])
+    def test_bitwise_equal(self, u, where):
+        L, h = u.grid.length, u.grid.spacing
+        rng = np.random.default_rng(7)
+        inside = rng.uniform(0.0, L, size=(500, 2))
+        pts = {
+            "inside": inside,
+            "boundary": np.array([[0.0, 0.0], [L - 1e-17, 0.5 * L], [np.nextafter(L, 0), h],
+                                  [3 * h, 31 * h], [-0.0, L - h]]),
+            # small negatives lose low bits when wrapped, so the wrap shows
+            "negative": np.vstack([inside - L, -0.1 * inside]),
+            "beyond": inside + np.array([L, 2 * L]),
+            "mixed": np.vstack([inside[:10], [[L, 0.0], [-1e-18, 0.3]]]),
+        }[where]
+        assert np.array_equal(interpolate_velocity(u, pts), reference_interpolate(u, pts))
+
+    def test_empty_input(self, u):
+        out = interpolate_velocity(u, np.zeros((0, 2)))
+        assert out.shape == (0, 2)
+        assert np.array_equal(out, reference_interpolate(u, np.zeros((0, 2))))
+
+
 class TestTorusDistance:
     @given(
         st.floats(0, 1, allow_nan=False),

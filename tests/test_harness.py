@@ -274,6 +274,54 @@ class TestRunExperiment:
         # no self-term is solved twice for the same measure and order
         assert len({(id(m), c) for m, c in selfs}) == len(selfs)
 
+    def test_biot_savart_only_for_the_cross_check(self, monkeypatch):
+        # snapshot velocities come from the stepper; Biot-Savart runs once per (nu, t)
+        import vvlab.harness as harness_mod
+
+        real = harness_mod.biot_savart
+        calls = []
+
+        def counting(omega):
+            calls.append(omega)
+            return real(omega)
+
+        monkeypatch.setattr(harness_mod, "biot_savart", counting)
+        cfg = patch_config(nu_ladder=[3e-2, 1.7e-2, 9.5e-3, 5.3e-3], times=[0.025, 0.05])
+        series = run_experiment(cfg)
+        assert series.errors == []
+        assert len(calls) == len(cfg.nu_ladder) * len(cfg.times)
+
+    def test_q_agrees_with_biot_savart_velocities(self, monkeypatch, tmp_path):
+        # the coupling driven by velocities re-solved from each snapshot, as
+        # before the stepper handed out its own
+        import vvlab.harness as harness_mod
+        from vvlab.fields import biot_savart
+
+        cfg = patch_config(times=[0.025, 0.05])
+        stepper = run_experiment(cfg)
+        emit_report(stepper, cfg, tmp_path / "stepper")
+        real = harness_mod.run_split
+
+        def resolved(plus, minus, scfg):
+            tr = real(plus, minus, scfg)
+            tr.velocity = [biot_savart(tr.full_at(t)) for t in tr.times]
+            return tr
+
+        monkeypatch.setattr(harness_mod, "run_split", resolved)
+        resolved_series = run_experiment(cfg)
+        emit_report(resolved_series, cfg, tmp_path / "resolved")
+        assert resolved_series.lemma1.keys() == stepper.lemma1.keys()
+        for a, b in zip(stepper.rows, resolved_series.rows):
+            assert (a.err_l2_velocity, a.w1_vorticity, a.w2_split_sum) == (
+                b.err_l2_velocity, b.w1_vorticity, b.w2_split_sum)
+            assert a.q_estimate == pytest.approx(b.q_estimate, rel=1e-12)
+        for nu in cfg.nu_ladder:
+            name = f"q_nu_{nu:.6g}.csv"
+            a = np.loadtxt(tmp_path / "stepper" / name, delimiter=",", skiprows=1)
+            b = np.loadtxt(tmp_path / "resolved" / name, delimiter=",", skiprows=1)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+            assert stepper.lemma1[nu] == pytest.approx(resolved_series.lemma1[nu], rel=1e-12)
+
     def test_resolution_check_flag(self):
         # the grid-doubling check on the coarse Euler run the sweep already holds
         series = run_experiment(patch_config(check_resolution=True))

@@ -54,6 +54,37 @@ class TestBootstrap:
         assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
 
+def polyfit_bootstrap_ci(nus, errors, n_bootstrap=2000, rng_seed=0):
+    """The bootstrap CI as first written: one draw and one np.polyfit per resample."""
+    x, y = np.log(nus), np.log(errors)
+    slope = np.polyfit(x, y, 1)[0]
+    rng = np.random.default_rng(rng_seed)
+    slopes = np.empty(n_bootstrap)
+    m = len(x)
+    for b in range(n_bootstrap):
+        idx = rng.integers(0, m, size=m)
+        if np.ptp(x[idx]) == 0:
+            slopes[b] = slope
+            continue
+        slopes[b] = np.polyfit(x[idx], y[idx], 1)[0]
+    return np.percentile(slopes, [2.5, 97.5])
+
+
+class TestVectorizedBootstrap:
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 10])
+    def test_ci_matches_polyfit_loop(self, m):
+        # small ladders resample a single abscissa now and then (the fallback)
+        rng = np.random.default_rng(m)
+        nus = np.geomspace(3e-4, 3e-3, m)
+        errs = nus ** 0.8 * np.exp(rng.normal(0, 0.05, size=m))
+        for seed in (0, 1, 17):
+            fit = fit_rate(nus, errs, rng_seed=seed)
+            lo, hi = polyfit_bootstrap_ci(nus, errs, rng_seed=seed)
+            assert fit.ci_low == pytest.approx(lo, rel=1e-12, abs=0)
+            assert fit.ci_high == pytest.approx(hi, rel=1e-12, abs=0)
+            assert fit.exponent == np.polyfit(np.log(nus), np.log(errs), 1)[0]
+
+
 class TestValidation:
     def test_zero_rows_dropped_with_warning(self):
         nus = np.geomspace(1e-5, 1e-2, 6)
