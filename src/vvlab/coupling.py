@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it here, not inside a run)
 
 from vvlab.fields import (
     ScalarField2D,

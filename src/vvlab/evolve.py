@@ -7,10 +7,11 @@ S real-FFT half spectra, shape (S, n, n//2+1), advected by the velocity of a
 fixed linear combination of the stack: the field itself for :func:`run`, plus
 minus minus for :func:`run_split`. The gradient and Biot-Savart multipliers,
 with the optional 2/3-rule dealiasing folded in, and the integrating factors
-are built once per trajectory. Each RK stage makes one batched ``irfft2``
-(2 velocity and 2S gradient spectra) and one batched ``rfft2`` (S advection
-products). The odd derivative multipliers are zero on the Nyquist row and
-column, which the real part of a complex inverse transform also discards.
+are built once per trajectory. Each RK stage makes one batched
+``numpy.fft.irfft2`` (2 velocity and 2S gradient spectra) and one batched
+``rfft2`` (S advection products), the FFT :mod:`vvlab.fields` uses too.
+The odd derivative multipliers are zero on the Nyquist row and column, which
+the real part of a complex inverse transform also discards.
 A :func:`run` snapshot inverts its one member; a :func:`run_split` snapshot
 inverts both members and their undealiased velocity in one ``irfft2``.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from numpy.fft import irfft2, rfft2
 
 from vvlab.fields import (
     Grid2D,
@@ -123,7 +124,7 @@ class _Kernel:
         adv = np.tensordot(self.coeffs, w, axes=1)
         np.multiply(self.bs1, adv, out=buf[2 * s])
         np.multiply(self.bs2, adv, out=buf[2 * s + 1])
-        phys = irfft2(buf, s=self.shape, overwrite_x=True)
+        phys = irfft2(buf, s=self.shape)
         u1, u2 = phys[2 * s], phys[2 * s + 1]
         if check_cfl:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
@@ -137,7 +138,7 @@ class _Kernel:
         adv = np.tensordot(self.coeffs, w, axes=1)
         np.multiply(self.vel1, adv, out=buf[s])
         np.multiply(self.vel2, adv, out=buf[s + 1])
-        return irfft2(buf, s=self.shape, overwrite_x=True)
+        return irfft2(buf, s=self.shape)
 
     def step(self, w: np.ndarray) -> np.ndarray:
         e_half, e_full = self.e_half, self.e_full

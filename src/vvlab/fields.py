@@ -205,10 +205,12 @@ def torus_distance(x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
 
 
 def torus_wrap(x: np.ndarray, period: float) -> np.ndarray:
-    """``np.mod(x, period)``, skipped when every entry already lies in [0, period)."""
+    """``x`` folded into [0, period), skipped when every entry already lies there."""
     if x.size and x.min() >= 0 and x.max() < period:
         return x
-    return np.mod(x, period)
+    y = np.mod(x, period)
+    y[y == period] = 0.0  # np.mod(-1e-18, 1.0) rounds up to 1.0
+    return y
 
 
 def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
@@ -217,7 +219,7 @@ def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
     n, h = u.grid.n, u.grid.spacing
     s = torus_wrap(pts / h, n)
     floor = np.floor(s)
-    i0 = floor.astype(int) % n
+    i0 = floor.astype(int)
     frac = s - floor
     i1 = (i0 + 1) % n
     fx, fy = frac[:, 0], frac[:, 1]

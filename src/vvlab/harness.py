@@ -10,6 +10,7 @@ reruns.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
@@ -31,7 +32,7 @@ from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split
 from vvlab.fields import (
     FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
 )
-from vvlab.initial_data import make_initial_data
+from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
 from vvlab.transport import TransportError, distance, field_to_measure, split_signed
 
@@ -69,8 +70,18 @@ class ExperimentConfig:
             raise ConfigError("nu_ladder must be strictly decreasing")
         if not self.times or any(t <= 0 for t in self.times):
             raise ConfigError("evaluation times must be positive")
+        if self.initial_kind not in KINDS:
+            raise ConfigError(f"unknown initial data kind {self.initial_kind!r}; choose from {KINDS}")
+        accepted = list(inspect.signature(GENERATORS[self.initial_kind]).parameters)[1:]
+        unknown = sorted(set(self.initial_params) - set(accepted))
+        if unknown:
+            raise ConfigError(
+                f"initial data {self.initial_kind!r} takes no parameter {unknown}; accepted: {accepted}"
+            )
         if self.transport_method not in ("exact", "sinkhorn"):
             raise ConfigError(f"unknown transport method {self.transport_method!r}")
+        if self.transport_method == "exact":
+            import scipy.optimize  # noqa: F401  (HiGHS loads with the config, not inside the run)
         if not self.transport_epsilon > 0:
             raise ConfigError(f"transport epsilon must be > 0, got {self.transport_epsilon}")
         if self.max_support < 1:
@@ -230,7 +241,10 @@ def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     cfg.validate()
     grid = Grid2D(cfg.n, cfg.length)
-    omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
+    try:
+        omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
+    except FieldError as e:
+        raise ConfigError(f"initial data: {e}") from e
     split0 = split_signed(omega0)
     eval_times = _resolve_eval_times(cfg)
     t_end = max(eval_times)

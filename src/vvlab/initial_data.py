@@ -12,8 +12,6 @@ import numpy as np
 
 from vvlab.fields import Grid2D, ScalarField2D, FieldError, norms
 
-KINDS = ("taylor_green", "patch_pair", "random_yudovich")
-
 
 def taylor_green(grid: Grid2D, amplitude: float = 2.0) -> ScalarField2D:
     """omega = amplitude * cos(2 pi x1 / L) * cos(2 pi x2 / L).
@@ -100,16 +98,16 @@ def random_yudovich(
     return ScalarField2D(grid, vals)
 
 
+GENERATORS = {"taylor_green": taylor_green, "patch_pair": patch_pair,
+              "random_yudovich": random_yudovich}
+KINDS = tuple(GENERATORS)
+
+
 def make_initial_data(kind: str, grid: Grid2D, **params) -> ScalarField2D:
     """Dispatch to the named constructor; attach norms and provenance metadata."""
-    if kind == "taylor_green":
-        f = taylor_green(grid, **params)
-    elif kind == "patch_pair":
-        f = patch_pair(grid, **params)
-    elif kind == "random_yudovich":
-        f = random_yudovich(grid, **params)
-    else:
+    if kind not in GENERATORS:
         raise FieldError(f"unknown initial data kind {kind!r}; choose from {KINDS}")
+    f = GENERATORS[kind](grid, **params)
     if not f.mean_zero:
         raise FieldError(f"initial data {kind!r} with params {params} is not mean-zero")
     rep = norms(f)

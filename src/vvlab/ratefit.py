@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.percentile reaches it through np.unique)
+import numpy.random  # noqa: F401  (numpy loads both lazily; load them here, not inside a run)
 
 
 @dataclass(frozen=True)

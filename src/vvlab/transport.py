@@ -4,10 +4,11 @@
 exact or the Sinkhorn route by name, with the Sinkhorn stopping rule fixed
 here. The routes behind it are cross-checked against each other:
 
-* an exact linear-programming solver (HiGHS) for supports of up to 4096
-  atoms, solved by column generation: the LP runs on a sparse set of active
-  pairs and the duals price the full cost matrix until no pair can lower the
-  cost (the shortlist idea of Gottschlich & Schuhmacher, 2014),
+* an exact linear-programming solver (SciPy's HiGHS, imported on first use)
+  for supports of up to 4096 atoms, solved by column generation: the LP runs
+  on a sparse set of active pairs and the duals price the full cost matrix
+  until no pair can lower the cost (the shortlist idea of Gottschlich &
+  Schuhmacher, 2014),
 * a brute-force assignment enumeration used as the test oracle,
 * a log-domain Sinkhorn iteration with epsilon-scaling, debiased into the
   Sinkhorn divergence (Feydy et al., AISTATS 2019). Its self-terms depend on
@@ -25,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from vvlab.fields import ScalarField2D, hm1_norm, norms, torus_delta
 
@@ -256,6 +255,9 @@ def _hilbert_order(meas: DiscreteMeasure) -> np.ndarray:
 
 def _solve_restricted(c, i, j, a, b):
     """Transport LP on the pairs (i, j); returns the plan and the equality duals."""
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     m, k = len(a), len(b)
     # row marginals (m) plus column marginals (k, last dropped as redundant)
     var = np.arange(len(c))
@@ -411,6 +413,9 @@ def w1_dual(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, np.ndarray
     imposed on every support pair, which certifies the returned value as a
     lower bound on W1. Returns (bound, potential on merged support).
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     _check_mass_equality(mu, nu)
     pts = np.vstack([mu.points, nu.points])
     coef = np.concatenate([mu.weights, -nu.weights])

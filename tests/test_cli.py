@@ -84,6 +84,22 @@ class TestRunVerb:
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [
+        ["--initial_data.kind", "foo"],
+        ["--initial_data.params.radius", "-1"],
+        ["--initial_data.params.bogus", "3"],
+    ])
+    def test_bad_initial_data_is_config_error(self, override, tmp_path, monkeypatch, capsys):
+        import vvlab.harness as harness_mod
+
+        def no_integration(*args):
+            raise AssertionError("integration started on invalid initial data")
+
+        monkeypatch.setattr(harness_mod, "run_split", no_integration)
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
+        assert code == EXIT_CONFIG
+        assert "initial data" in capsys.readouterr().err
+
 
 class TestFitVerb:
     def test_fit_recovers_exponent(self, tmp_path, capsys):

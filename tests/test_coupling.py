@@ -83,7 +83,10 @@ class TestInit:
         ens = CouplingEnsemble(x=pts[:2], y=pts, weights=np.ones(5), signs=np.ones(5),
                                length=1.0, rng_seed=0)
         assert np.array_equal(ens.x, pts[:2])
-        assert np.array_equal(ens.y, np.mod(pts, 1.0))
+        expected = np.mod(pts, 1.0)
+        expected[4, 0] = 0.0  # np.mod rounds -1e-18 up to the period itself
+        assert np.array_equal(ens.y, expected)
+        assert ((0.0 <= ens.y) & (ens.y < 1.0)).all()
 
     def test_rejects_empty(self):
         g = Grid2D(32, 1.0)

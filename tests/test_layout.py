@@ -1,7 +1,15 @@
-"""Module boundaries of the vvlab package, and a guard against unused public code."""
+"""Module boundaries of the vvlab package, its start-up imports, and a guard
+against unused public code."""
 
 import ast
+import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import vvlab
 
@@ -71,3 +79,95 @@ def test_every_public_definition_is_used():
             if node.name not in referenced_names(trees[path], own):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_no_module_imports_scipy_at_module_level():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+# Runs what ``vvlab run`` runs in a fresh interpreter and prints, as JSON, the
+# SciPy modules loaded after each stage and the modules run_experiment first imports.
+RUN_PROBE = """
+import json, sys, tempfile
+import vvlab.cli
+from vvlab import harness
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+cfg = harness.ExperimentConfig.from_nested(json.loads(sys.argv[1]))
+loaded["config"] = scipy_modules()
+before = set(sys.modules)
+series = harness.run_experiment(cfg)
+loaded["run_first_imports"] = sorted(set(sys.modules) - before)
+with tempfile.TemporaryDirectory() as out:
+    harness.emit_report(series, cfg, out)
+loaded["report"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def probe(code: str, *args) -> dict:
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@functools.cache
+def run_modules(method: str) -> dict:
+    tree = {
+        "name": "imports",
+        "initial_data": {"kind": "patch_pair", "params": {"radius": 0.12, "separation": 0.4}},
+        "grid": {"n": 32, "length": 1.0},
+        "nu_ladder": [3e-2, 1.7e-2, 9.5e-3, 5.3e-3],
+        "times": [0.05],
+        "solver": {"dt": 5e-3, "record_every": 1},
+        "particles": {"count": 300},
+        "transport": {"method": method, "epsilon": 1e-3, "max_support": 60},
+        "allow_unresolved": True,
+    }
+    return probe(RUN_PROBE, json.dumps(tree))
+
+
+def test_sinkhorn_run_never_loads_scipy():
+    loaded = run_modules("sinkhorn")
+    assert loaded["import"] == loaded["config"] == loaded["report"] == []
+
+
+def test_exact_config_loads_highs_during_set_up():
+    assert "scipy.optimize" in run_modules("exact")["config"]
+
+
+@pytest.mark.parametrize("method", ["sinkhorn", "exact"])
+def test_run_experiment_first_imports_only_the_envelope(method):
+    assert set(run_modules(method)["run_first_imports"]) <= {"vvlab.envelope"}
+
+
+FIT_PROBE = """
+import json, sys
+from vvlab.cli import main
+from vvlab.io import write_csv
+
+rows = [(nu, 0.1, 2.0 * nu ** 0.5) for nu in (1e-5, 1e-4, 1e-3, 1e-2)]
+write_csv(sys.argv[1], ["nu", "t", "err_l2_velocity"], rows)
+code = main(["fit", sys.argv[1]])
+print(json.dumps({"code": code, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
+def test_fit_verb_never_loads_scipy(tmp_path):
+    assert probe(FIT_PROBE, str(tmp_path / "rates.csv")) == {"code": 0, "scipy": []}
