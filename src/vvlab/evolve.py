@@ -1,36 +1,29 @@
 """Pseudo-spectral time integration of the 2D vorticity equations.
 
+Every trajectory is a split run: the positive and negative vorticity parts are
+advected as passive scalars by the velocity of their difference, which is the
+vorticity itself, so one run yields the signed parts and the full field.
 One integrating-factor RK4 kernel (Kassam & Trefethen, SISC 2005) advances
-every trajectory: advection by classical RK4, diffusion exactly by the factor
-exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on a stack of
-S real-FFT half spectra, shape (S, n, n//2+1), advected by the velocity of a
-fixed linear combination of the stack: the field itself for :func:`run`, plus
-minus minus for :func:`run_split`. The gradient and Biot-Savart multipliers,
-with the optional 2/3-rule dealiasing folded in, and the integrating factors
-are built once per trajectory. Each RK stage makes one batched
-``numpy.fft.irfft2`` (2 velocity and 2S gradient spectra) and one batched
-``rfft2`` (S advection products), the FFT :mod:`vvlab.fields` uses too.
+the pair: advection by classical RK4, diffusion exactly by the factor
+exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on the two
+real-FFT half spectra, shape (2, n, n//2+1). The gradient and Biot-Savart
+multipliers, with the optional 2/3-rule dealiasing folded in, and the
+integrating factors are built once per trajectory. Each RK stage makes one
+batched ``numpy.fft.irfft2`` (2 velocity and 4 gradient spectra) and one
+batched ``rfft2`` (2 advection products), the FFT :mod:`vvlab.fields` uses too.
 The odd derivative multipliers are zero on the Nyquist row and column, which
 the real part of a complex inverse transform also discards.
-A :func:`run` snapshot inverts its one member; a :func:`run_split` snapshot
-inverts both members and their undealiased velocity in one ``irfft2``.
+A snapshot inverts both parts and their undealiased velocity in one ``irfft2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft2, rfft2
 
-from vvlab.fields import (
-    Grid2D,
-    ScalarField2D,
-    NormReport,
-    VectorField2D,
-    norms,
-    require_mean_zero,
-)
+from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms, require_mean_zero
 
 CFL_LIMIT = 0.5
 
@@ -58,19 +51,6 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
 
-@dataclass
-class Trajectory:
-    times: list[float]
-    states: list[ScalarField2D]
-    config: SolverConfig
-    monitors: list[NormReport] = field(default_factory=list)
-
-    def state_at(self, t: float) -> ScalarField2D:
-        """Snapshot nearest to time t (snapshots are dt-aligned)."""
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.states[i]
-
-
 def _check_cfl(max_speed: float, spacing: float, dt: float) -> None:
     cfl = dt * max_speed / spacing
     if cfl > CFL_LIMIT:
@@ -81,12 +61,9 @@ def _check_cfl(max_speed: float, spacing: float, dt: float) -> None:
 
 
 class _Kernel:
-    """IFRK4 on a stack of ``size`` half spectra, with its operators built once.
+    """IFRK4 on the (plus, minus) pair of half spectra, with its operators built once."""
 
-    ``coeffs`` weights the stack members into the advecting vorticity.
-    """
-
-    def __init__(self, grid: Grid2D, cfg: SolverConfig, size: int, coeffs):
+    def __init__(self, grid: Grid2D, cfg: SolverConfig):
         n, half = grid.n, grid.n // 2 + 1
         k1, k2, k_sq, inv_k_sq = (a[:, :half] for a in grid.wavenumbers())
         if cfg.dealias:
@@ -109,33 +86,32 @@ class _Kernel:
         self.out[0, 0] = 0.0  # exact mean-zero preservation
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
         self.e_full = self.e_half * self.e_half
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        # gradient spectra of every member, then the two velocity spectra
-        self.buf = np.empty((2 * size + 2, n, half), dtype=complex)
+        # gradient spectra of both parts, then the two velocity spectra
+        self.buf = np.empty((6, n, half), dtype=complex)
         self.shape = (n, n)
         self.spacing = grid.spacing
         self.dt = cfg.dt
 
     def rhs(self, w: np.ndarray, check_cfl: bool = False) -> np.ndarray:
-        """dt times the advection term -F[u . grad w] of every stack member."""
-        s, buf = len(w), self.buf
-        np.multiply(self.ik1, w, out=buf[:s])
-        np.multiply(self.ik2, w, out=buf[s:2 * s])
-        adv = np.tensordot(self.coeffs, w, axes=1)
-        np.multiply(self.bs1, adv, out=buf[2 * s])
-        np.multiply(self.bs2, adv, out=buf[2 * s + 1])
+        """dt times the advection term -F[u . grad w] of both parts."""
+        buf = self.buf
+        np.multiply(self.ik1, w, out=buf[:2])
+        np.multiply(self.ik2, w, out=buf[2:4])
+        adv = w[0] - w[1]
+        np.multiply(self.bs1, adv, out=buf[4])
+        np.multiply(self.bs2, adv, out=buf[5])
         phys = irfft2(buf, s=self.shape)
-        u1, u2 = phys[2 * s], phys[2 * s + 1]
+        u1, u2 = phys[4], phys[5]
         if check_cfl:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
-        return self.out * rfft2(u1 * phys[:s] + u2 * phys[s:2 * s])
+        return self.out * rfft2(u1 * phys[:2] + u2 * phys[2:4])
 
     def snapshot(self, w: np.ndarray, members: bool = True) -> np.ndarray:
-        """Physical values of every stack member (if ``members``), then the velocity (u1, u2)."""
-        s = len(w) if members else 0
+        """Physical values of both parts (if ``members``), then the velocity (u1, u2)."""
+        s = 2 if members else 0
         buf = self.buf[:s + 2]
         buf[:s] = w[:s]
-        adv = np.tensordot(self.coeffs, w, axes=1)
+        adv = w[0] - w[1]
         np.multiply(self.vel1, adv, out=buf[s])
         np.multiply(self.vel2, adv, out=buf[s + 1])
         return irfft2(buf, s=self.shape)
@@ -172,19 +148,6 @@ def _integrate(kernel: _Kernel, w: np.ndarray, cfg: SolverConfig):
             yield s * cfg.dt, w
 
 
-def run(omega0: ScalarField2D, cfg: SolverConfig) -> Trajectory:
-    """Advance the vorticity to t_end, recording every ``record_every`` steps."""
-    require_mean_zero(omega0, "time stepping")
-    kernel = _Kernel(omega0.grid, cfg, 1, coeffs=[1.0])
-    tr = Trajectory(times=[0.0], states=[omega0], config=cfg, monitors=[norms(omega0)])
-    for t, w in _integrate(kernel, rfft2(omega0.values[None]), cfg):
-        f = ScalarField2D(omega0.grid, irfft2(w, s=kernel.shape)[0])
-        tr.times.append(t)
-        tr.states.append(f)
-        tr.monitors.append(norms(f))
-    return tr
-
-
 @dataclass
 class SplitTrajectory:
     """Positive/negative vorticity parts advected by the velocity of their difference.
@@ -214,7 +177,9 @@ def run_split(
 ) -> SplitTrajectory:
     """Evolve the signed parts as passive scalars in their own induced flow."""
     grid = omega0_plus.grid
-    kernel = _Kernel(grid, cfg, 2, coeffs=[1.0, -1.0])
+    full0 = ScalarField2D(grid, omega0_plus.values - omega0_minus.values)
+    require_mean_zero(full0, "time stepping")
+    kernel = _Kernel(grid, cfg)
     w = rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
     tr = SplitTrajectory(
         times=[0.0],
@@ -242,28 +207,27 @@ class AprioriReport:
     ok: bool
 
 
-def check_apriori(tr: Trajectory, tol: float = 1e-2) -> AprioriReport:
-    """Check that L1/Linf never exceed their initial values (equality for nu=0).
+def check_apriori(tr: SplitTrajectory, tol: float = 1e-2) -> AprioriReport:
+    """Check that the full field's L1/Linf never exceed their initial values
+    (equality for nu=0).
 
     Margins are relative overshoots max_t ||w(t)|| / ||w0|| - 1; for the Euler
     branch undershoot is also counted since both norms are conserved.
     """
-    if len(tr.monitors) < 2:
+    if len(tr.times) < 2:
         raise ValueError("trajectory needs at least 2 snapshots")
-    l1_0 = tr.monitors[0].l1
-    linf_0 = tr.monitors[0].linf
-    rel_l1 = np.array([m.l1 / l1_0 - 1.0 for m in tr.monitors])
-    rel_linf = np.array([m.linf / linf_0 - 1.0 for m in tr.monitors])
+    monitors = [norms(tr.full_at(t)) for t in tr.times]
+    l1_0 = monitors[0].l1
+    linf_0 = monitors[0].linf
+    rel_l1 = np.array([m.l1 / l1_0 - 1.0 for m in monitors])
+    rel_linf = np.array([m.linf / linf_0 - 1.0 for m in monitors])
     if tr.config.nu == 0:
         viol = np.maximum(np.abs(rel_l1), np.abs(rel_linf))
     else:
         viol = np.maximum(rel_l1, rel_linf)
-    worst = int(np.argmax(viol))
-    l1_margin = float(rel_l1[worst])
-    linf_margin = float(rel_linf[worst])
     return AprioriReport(
         l1_margin=float(np.max(rel_l1) if tr.config.nu > 0 else np.max(np.abs(rel_l1))),
         linf_margin=float(np.max(rel_linf) if tr.config.nu > 0 else np.max(np.abs(rel_linf))),
-        worst_index=worst,
+        worst_index=int(np.argmax(viol)),
         ok=bool(np.max(viol) <= tol),
     )

@@ -73,6 +73,13 @@ class TestRunVerb:
         ["--grid.n", "48"],
         ["--transport.max_support", "0"],
         ["--particles.count", "0"],
+        ["--nu_ladder", "[]"],
+        ["--times", "[0.05, 0.05]"],
+        ["--times", "[0.05, 0.0500000000001]"],  # one snapshot
+        ["--times", "[.inf]"],
+        ["--partcles.count", "0"],
+        ["--grid.nn", "64"],
+        ["--transport.epsilom", "1e-3"],
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod
@@ -99,6 +106,12 @@ class TestRunVerb:
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
+    def test_non_mapping_config_is_config_error(self, extra, tmp_path):
+        p = tmp_path / "list.yaml"
+        p.write_text("- 1\n- 2\n")
+        assert main(["run", "--config", str(p), *extra]) == EXIT_CONFIG
 
 
 class TestFitVerb:

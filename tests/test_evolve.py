@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 
 from vvlab import evolve
-from vvlab.evolve import (
-    AprioriReport,
-    SolverConfig,
-    SolverError,
-    Trajectory,
-    check_apriori,
-    run,
-    run_split,
-)
-from vvlab.fields import Grid2D, ScalarField2D, biot_savart, norms
+from vvlab.evolve import AprioriReport, SolverConfig, SolverError, check_apriori, run_split
+from vvlab.fields import Grid2D, NotMeanZeroError, ScalarField2D, biot_savart, norms
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.transport import split_signed
 from tests.conftest import random_mean_zero_field
@@ -25,9 +17,20 @@ def tg64(grid64):
     return make_initial_data("taylor_green", grid64)
 
 
+def split_run(omega, cfg):
+    """The split run of ``omega``: its signed parts advected by their difference."""
+    sp = split_signed(omega)
+    return run_split(sp.plus, sp.minus, cfg)
+
+
 def one_step(omega, cfg):
-    """One solver step of ``cfg``, taken by :func:`run` with t_end = dt."""
-    return run(omega, replace(cfg, t_end=cfg.dt)).states[-1]
+    """The full field after one solver step of ``cfg`` (a split run with t_end = dt)."""
+    return split_run(omega, replace(cfg, t_end=cfg.dt)).full_at(cfg.dt)
+
+
+def monitors(tr):
+    """Norms of the full field at every snapshot of a split run."""
+    return [norms(tr.full_at(t)) for t in tr.times]
 
 
 class TestStep:
@@ -69,7 +72,7 @@ class TestStep:
 
         def advance(dt, steps):
             cfg = SolverConfig(nu=0.0, dt=dt, t_end=steps * dt, record_every=steps)
-            return run(w, cfg).states[-1].values
+            return split_run(w, cfg).full_at(cfg.t_end).values
 
         dt = 0.02
         ref = advance(dt / 8, 8)
@@ -83,31 +86,31 @@ class TestStep:
 class TestRun:
     def test_taylor_green_regression(self, grid64, tg64):
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=1.0, record_every=250)
-        tr = run(tg64, cfg)
+        tr = split_run(tg64, cfg)
         exact = tg64.values * math.exp(-taylor_green_decay_rate(grid64, 0.01) * 1.0)
-        num = tr.states[-1].values
+        num = tr.full_at(1.0).values
         rel = np.sqrt(((num - exact) ** 2).sum() / (exact ** 2).sum())
         assert rel < 1e-6
 
     def test_times_strictly_increasing_and_mean_zero(self, grid64):
         w = random_mean_zero_field(grid64, 5)
-        tr = run(w, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=5))
+        tr = split_run(w, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=5))
         assert all(b > a for a, b in zip(tr.times, tr.times[1:]))
-        assert all(s.mean_zero for s in tr.states)
+        assert all(tr.full_at(t).mean_zero for t in tr.times)
 
     def test_euler_patch_norms_conserved(self):
         g = Grid2D(128, 1.0)
         w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.45)
-        tr = run(w0, SolverConfig(nu=0.0, dt=2e-3, t_end=0.2, record_every=25))
-        rep0 = tr.monitors[0]
-        for rep in tr.monitors[1:]:
+        tr = split_run(w0, SolverConfig(nu=0.0, dt=2e-3, t_end=0.2, record_every=25))
+        rep0, *later = monitors(tr)
+        for rep in later:
             assert rep.l1 == pytest.approx(rep0.l1, rel=1e-2)
             assert rep.linf == pytest.approx(rep0.linf, rel=1e-2)
 
     def test_viscous_linf_non_increasing(self, grid64):
         w = random_mean_zero_field(grid64, 8)
-        tr = run(w, SolverConfig(nu=0.02, dt=2e-3, t_end=0.1, record_every=10))
-        linfs = [m.linf for m in tr.monitors]
+        tr = split_run(w, SolverConfig(nu=0.02, dt=2e-3, t_end=0.1, record_every=10))
+        linfs = [m.linf for m in monitors(tr)]
         for a, b in zip(linfs, linfs[1:]):
             assert b <= a + 1e-6
 
@@ -126,8 +129,8 @@ class TestRun:
                 spec_f[mi % 64, mj % 64] = spec_c[i, j] * 4.0
         w_fine = ScalarField2D(fine, np.fft.ifft2(spec_f).real)
         cfg = SolverConfig(nu=1e-3, dt=5e-3, t_end=0.1, record_every=20)
-        out32 = run(w_coarse, cfg).states[-1].values
-        out64 = run(w_fine, cfg).states[-1].values
+        out32 = split_run(w_coarse, cfg).full_at(0.1).values
+        out64 = split_run(w_fine, cfg).full_at(0.1).values
         sub = out64[::2, ::2]
         rel = np.abs(out32 - sub).max() / np.abs(sub).max()
         assert rel < 1e-5
@@ -140,9 +143,15 @@ class TestSplitRun:
         sp = split_signed(w0)
         cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=5)
         split_tr = run_split(sp.plus, sp.minus, cfg)
-        full_tr = run(w0, cfg)
-        diff = split_tr.full_at(0.05).values - full_tr.states[-1].values
+        (*_, full) = reference_integrate([w0], cfg, 25)
+        diff = split_tr.full_at(0.05).values - full[0]
         assert np.abs(diff).max() < 1e-11
+
+    def test_rejects_parts_whose_difference_has_a_mean(self, grid64):
+        sp = split_signed(make_initial_data("patch_pair", grid64, radius=0.12, separation=0.4))
+        zero = ScalarField2D(grid64, np.zeros((64, 64)))
+        with pytest.raises(NotMeanZeroError, match="time stepping"):
+            run_split(sp.plus, zero, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.01))
 
     def test_split_masses_conserved(self):
         g = Grid2D(64, 1.0)
@@ -175,43 +184,35 @@ class TestSplitRun:
             assert np.abs(u.u1 - ref.u1).max() <= 1e-13 * scale
             assert np.abs(u.u2 - ref.u2).max() <= 1e-13 * scale
 
-    def test_run_states_do_not_pin_the_velocity(self, grid64):
-        tr = run(random_mean_zero_field(grid64, 3), SolverConfig(nu=0.0, dt=1e-3, t_end=2e-3))
-        for state in tr.states[1:]:
-            owner = state.values if state.values.base is None else state.values.base
-            assert owner.nbytes == state.values.nbytes
-
 
 class TestApriori:
     def test_taylor_green_decay_rate(self, grid64, tg64):
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=0.5, record_every=100)
-        tr = run(tg64, cfg)
+        tr = split_run(tg64, cfg)
         rate = taylor_green_decay_rate(grid64, 0.01)
-        for t, m in zip(tr.times, tr.monitors):
+        for t, m in zip(tr.times, monitors(tr)):
             assert m.linf == pytest.approx(2.0 * math.exp(-rate * t), rel=1e-6)
         assert check_apriori(tr).ok
 
     def test_euler_flat(self, grid64):
         w = random_mean_zero_field(grid64, 5)
-        tr = run(w, SolverConfig(nu=0.0, dt=2e-3, t_end=0.05, record_every=5))
+        tr = split_run(w, SolverConfig(nu=0.0, dt=2e-3, t_end=0.05, record_every=5))
         rep = check_apriori(tr, tol=1e-2)
         assert rep.ok
 
     def test_injected_violation_located(self, grid64, tg64):
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=0.01, record_every=5)
-        tr = run(tg64, cfg)
-        bad = ScalarField2D(grid64, 3.0 * tr.states[-1].values)
-        tr.states.append(bad)
+        tr = split_run(tg64, cfg)
+        tr.plus.append(ScalarField2D(grid64, 3.0 * tr.plus[-1].values))
+        tr.minus.append(ScalarField2D(grid64, 3.0 * tr.minus[-1].values))
         tr.times.append(tr.times[-1] + cfg.dt)
-        tr.monitors.append(norms(bad))
         rep = check_apriori(tr)
         assert not rep.ok
-        assert rep.worst_index == len(tr.states) - 1
+        assert rep.worst_index == len(tr.times) - 1
 
-    def test_needs_two_snapshots(self, grid64, tg64):
-        tr = Trajectory(times=[0.0], states=[tg64],
-                        config=SolverConfig(nu=0.0, dt=1e-3, t_end=0.0),
-                        monitors=[norms(tg64)])
+    def test_needs_two_snapshots(self, tg64):
+        tr = split_run(tg64, SolverConfig(nu=0.0, dt=1e-3, t_end=0.0))
+        assert tr.times == [0.0]
         with pytest.raises(ValueError):
             check_apriori(tr)
 
@@ -300,10 +301,10 @@ class TestKernelMatchesComplexReference:
     def test_run(self, strong, dealias, nu):
         cfg = SolverConfig(nu=nu, dt=2e-3, t_end=0.012, dealias=dealias, record_every=2)
         ref = reference_integrate([strong], cfg, 6)
-        tr = run(strong, cfg)
+        tr = split_run(strong, cfg)
         assert tr.times == pytest.approx([0.0, 0.004, 0.008, 0.012])
-        for state, r in zip(tr.states[1:], ref[1::2]):
-            assert _rel_err(state.values, r[0]) <= 1e-12
+        for t, r in zip(tr.times[1:], ref[1::2]):
+            assert _rel_err(tr.full_at(t).values, r[0]) <= 1e-12
 
     @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
     def test_run_split(self, grid32, dealias, nu):
@@ -329,7 +330,7 @@ class TestKernelMatchesScipyFFT:
         cfg = SolverConfig(nu=nu, dt=2e-3, t_end=1.0, dealias=dealias)
 
         def twenty_steps():
-            kernel = evolve._Kernel(grid, cfg, 2, coeffs=[1.0, -1.0])
+            kernel = evolve._Kernel(grid, cfg)
             w = evolve.rfft2(np.stack([sp.plus.values, sp.minus.values]))
             for _ in range(20):
                 w = kernel.step(w)

@@ -1,8 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from vvlab.harness import (
     ConfigError,
@@ -14,6 +16,8 @@ from vvlab.harness import (
     summary_schema,
     _resolve_eval_times,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -88,6 +92,31 @@ class TestConfig:
     def test_from_nested_rejects_missing_keys(self):
         with pytest.raises(ConfigError, match="malformed"):
             ExperimentConfig.from_nested({"name": "x"})
+
+    @pytest.mark.parametrize("path,key", [
+        ("partcles.count", "partcles"),  # an unknown section is named, not its contents
+        ("grid.nn", "grid.nn"),
+        ("transport.epsilom", "transport.epsilom"),
+        ("sed", "sed"),
+    ])
+    def test_from_nested_rejects_unknown_keys(self, path, key):
+        tree = small_config().to_nested()
+        apply_override(tree, path, "1")
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\) \['{key}'\]"):
+            ExperimentConfig.from_nested(tree)
+
+    @pytest.mark.parametrize("tree", [[1, 2], "smoke", 3])
+    def test_from_nested_rejects_non_mapping(self, tree):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            ExperimentConfig.from_nested(tree)
+
+    @pytest.mark.parametrize("path", sorted(
+        str(p.relative_to(ROOT)) for pattern in ("configs/*.yaml", "bench/workloads/*.yaml")
+        for p in ROOT.glob(pattern)
+    ))
+    def test_shipped_configs_load(self, path):
+        tree = yaml.safe_load((ROOT / path).read_text())
+        assert ExperimentConfig.from_nested(tree).name == tree["name"]
 
     def test_apply_override_types(self):
         tree = small_config().to_nested()

@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vvlab"
 
 # Public definitions that nothing runs yet but that an open ROADMAP item will
-# wire in: item 2 extends check_apriori to split runs for the run diagnostics.
+# wire in: check_apriori reads split runs, and item 2 puts its L1/Linf drift
+# into the run diagnostics.
 UNUSED_ALLOWED = {"check_apriori"}
 
 
