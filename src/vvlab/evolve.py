@@ -9,11 +9,13 @@ exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on the two
 real-FFT half spectra, shape (2, n, n//2+1). The gradient and Biot-Savart
 multipliers, with the optional 2/3-rule dealiasing folded in, and the
 integrating factors are built once per trajectory. Each RK stage makes one
-batched ``numpy.fft.irfft2`` (2 velocity and 4 gradient spectra) and one
-batched ``rfft2`` (2 advection products), the FFT :mod:`vvlab.fields` uses too.
+batched inverse transform (2 velocity and 4 gradient spectra) and one batched
+``numpy.fft.rfft2`` (2 advection products), the FFT :mod:`vvlab.fields` uses
+too. The inverse is ``irfft2`` split into its two passes, the complex column
+pass done in place in the scratch spectra, which is bit for bit the same.
 The odd derivative multipliers are zero on the Nyquist row and column, which
 the real part of a complex inverse transform also discards.
-A snapshot inverts both parts and their undealiased velocity in one ``irfft2``.
+A snapshot inverts both parts and their undealiased velocity in one transform.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import irfft2, rfft2
+from numpy.fft import rfft2
 
 from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms, require_mean_zero
 
@@ -88,7 +90,7 @@ class _Kernel:
         self.e_full = self.e_half * self.e_half
         # gradient spectra of both parts, then the two velocity spectra
         self.buf = np.empty((6, n, half), dtype=complex)
-        self.shape = (n, n)
+        self.n = n
         self.spacing = grid.spacing
         self.dt = cfg.dt
 
@@ -100,7 +102,7 @@ class _Kernel:
         adv = w[0] - w[1]
         np.multiply(self.bs1, adv, out=buf[4])
         np.multiply(self.bs2, adv, out=buf[5])
-        phys = irfft2(buf, s=self.shape)
+        phys = self._inverse(buf)
         u1, u2 = phys[4], phys[5]
         if check_cfl:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
@@ -114,7 +116,12 @@ class _Kernel:
         adv = w[0] - w[1]
         np.multiply(self.vel1, adv, out=buf[s])
         np.multiply(self.vel2, adv, out=buf[s + 1])
-        return irfft2(buf, s=self.shape)
+        return self._inverse(buf)
+
+    def _inverse(self, buf: np.ndarray) -> np.ndarray:
+        """``irfft2`` of the scratch spectra ``buf``, its column pass done in place."""
+        np.fft.ifft(buf, axis=-2, out=buf)
+        return np.fft.irfft(buf, self.n, axis=-1)
 
     def step(self, w: np.ndarray) -> np.ndarray:
         e_half, e_full = self.e_half, self.e_full

@@ -442,3 +442,33 @@ class TestRegressionPin:
 
     def test_fitted_exponent(self, patch_series):
         assert patch_series.fits[0.05].exponent == pytest.approx(self.EXPONENT, rel=1e-9, abs=0)
+
+
+@pytest.fixture(scope="module")
+def sinkhorn_patch_series():
+    return run_experiment(patch_config(transport_method="sinkhorn"))
+
+
+class TestSinkhornRegressionPin:
+    """The patch sweep's Sinkhorn W1 and W2 columns, as the log-domain solver gave them.
+
+    The scaling-domain solver makes the same iterations and stops at the same
+    one; only the rounding of its kernel sums differs, so the columns must
+    agree to 1e-12 relative.
+    """
+
+    # nu -> (w1_vorticity, w2_split_sum) at t = 0.05, epsilon = 1e-4
+    COLUMNS = {
+        3e-2: (0.0016362800678413674, 0.011460461602241763),
+        1.7e-2: (0.000985089157608623, 0.008820730821124348),
+        9.5e-3: (0.0005675888276701102, 0.006651366885099579),
+        5.3e-3: (0.00032087978494294993, 0.004976190973008013),
+    }
+
+    def test_transport_columns(self, sinkhorn_patch_series):
+        assert sinkhorn_patch_series.errors == []
+        got = {r.nu: (r.w1_vorticity, r.w2_split_sum) for r in sinkhorn_patch_series.rows}
+        assert got.keys() == self.COLUMNS.keys()
+        for nu, (w1, w2) in self.COLUMNS.items():
+            assert got[nu][0] == pytest.approx(w1, rel=1e-12, abs=0)
+            assert got[nu][1] == pytest.approx(w2, rel=1e-12, abs=0)

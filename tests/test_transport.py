@@ -300,6 +300,84 @@ class TestColumnGeneration:
         assert transport.distance(mu, nu, p, "exact", 1e-4) == wasserstein_exact(mu, nu, p=p)[0]
 
 
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum for stability.
+
+    A slice whose entries are all -inf gives -inf.
+    """
+    shift = np.max(x, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - shift), axis=axis))
+    return out + np.squeeze(shift, axis=axis)
+
+
+def reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, max_iter, tol, mass):
+    """Balanced log-domain Sinkhorn at fixed eps; returns (f, g, violation).
+
+    The iteration the scaling-domain solver reproduces: the same updates, the
+    same stopping rule, with every kernel sum taken as a shifted logsumexp.
+    """
+    viol = math.inf
+    a = np.exp(log_a)
+    row_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
+    for _ in range(max_iter):
+        f = eps * log_a - eps * row_lse
+        g = eps * log_b - eps * _logsumexp((f[:, None] - C) / eps, axis=0)
+        # row-marginal violation of the implied plan (columns are exact): the
+        # plan's row sums are a * exp(next_lse - row_lse), and next_lse is the
+        # next f-update's logsumexp
+        next_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
+        viol = float(np.sum(a * np.abs(np.expm1(next_lse - row_lse)))) / mass
+        row_lse = next_lse
+        if viol < tol:
+            break
+    return f, g, viol
+
+
+def reference_sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
+    """Primal transport cost <pi, C> of log-domain Sinkhorn with epsilon-scaling."""
+    mass = mu.total_mass
+    with np.errstate(divide="ignore"):
+        log_a = np.log(mu.weights)
+        log_b = np.log(nu.weights)
+    f = np.zeros(len(mu))
+    g = np.zeros(len(nu))
+    eps = max(float(C.max()), eps_target)
+    while True:
+        f, g, viol = reference_sinkhorn_potentials(
+            log_a, log_b, C, eps, f, g, max_iter, tol, mass
+        )
+        if eps <= eps_target:
+            break
+        eps = max(eps * 0.5, eps_target)
+    assert viol < tol
+    return float(np.sum(np.exp((f[:, None] + g[None, :] - C) / eps) * C))
+
+
+def patch_measures(length, m):
+    """The heaviest m cells of a patch and of the same patch moved by a few
+    cells: the kind of pair the harness transports."""
+    grid = Grid2D(128, length)
+    w = make_initial_data(
+        "patch_pair", grid, radius=0.15 * length, separation=0.4 * length
+    )
+    plus = split_signed(w).plus
+    moved = ScalarField2D(grid, np.roll(plus.values, (3, 5), axis=(0, 1)))
+    mu = field_to_measure(plus, max_support=m)
+    nu = field_to_measure(moved, max_support=m)
+    return mu, nu.scaled(mu.total_mass / nu.total_mass)
+
+
+def far_atom_pair():
+    """Five atoms near (0.1, 0.1) against four there and one across the unit
+    torus, so at eps = 1e-4 the plain Gibbs kernel exp(-C / eps) has a zero row."""
+    near = [[0.105, 0.10], [0.115, 0.12], [0.125, 0.105], [0.10, 0.125], [0.12, 0.13]]
+    far = [[0.10, 0.10], [0.12, 0.11], [0.11, 0.13], [0.13, 0.12], [0.60, 0.60]]
+    w = np.full(5, 0.2)
+    return DiscreteMeasure(far, w, 1.0), DiscreteMeasure(near, w, 1.0)
+
+
 class TestSinkhorn:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_exact_within_two_percent(self, seed):
@@ -372,13 +450,115 @@ class TestSinkhorn:
         x[0, :] = -np.inf
         x[:, -1] = -np.inf
         for axis in (0, 1):
-            got = transport._logsumexp(x, axis=axis)
+            got = _logsumexp(x, axis=axis)
             with np.errstate(divide="ignore"):
                 want = logsumexp(x, axis=axis)
             assert np.array_equal(np.isneginf(got), np.isneginf(want))
             finite = np.isfinite(want)
             assert finite.sum() >= shape[1 - axis] - 1
             np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0)
+
+
+class TestScalingDomain:
+    """The scaling-domain solver against the log-domain reference, and its guards."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 2e-4, 1e-4])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("m", [12, 38, 100, 600])
+    @pytest.mark.parametrize("length", [0.4, 1.0])
+    def test_matches_log_domain_reference(self, length, m, p, eps):
+        mu, nu = patch_measures(length, m)
+        assert len(mu) == len(nu) == m
+        C = cost_matrix(mu, nu, p)
+        args = (eps, transport.SINKHORN_MAX_ITER, transport.SINKHORN_TOL)
+        got = transport._sinkhorn_cost(mu, nu, C, *args)
+        want = reference_sinkhorn_cost(mu, nu, C, *args)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_zero_weight_atoms_are_dropped(self):
+        mu, nu = random_pair(3, m=12, equal_weights=False)
+        mu.weights[[2, 7]] = 0.0
+        nu.weights[5] = 0.0
+        nu.weights *= mu.total_mass / nu.total_mass
+        C = cost_matrix(mu, nu, 2)
+        # kept, they would get zero scalings, which the underflow guard refuses
+        want = reference_sinkhorn_cost(mu, nu, C, 1e-3, 20000, 1e-3)
+        got = transport._sinkhorn_cost(mu, nu, C, 1e-3, 20000, 1e-3)
+        dist = wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-3)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert math.isfinite(dist) and dist > 0
+
+    def test_zero_mass_costs_nothing(self):
+        mu, nu = random_pair(0, m=4)
+        empty = DiscreteMeasure(mu.points, np.zeros(4), 1.0)
+        nothing = DiscreteMeasure(nu.points, np.zeros(4), 1.0)
+        assert wasserstein_sinkhorn(empty, nothing) == 0.0
+
+    @pytest.mark.parametrize("line", ["row", "column"])
+    def test_underflowed_kernel_line_raises(self, line):
+        mu, nu = far_atom_pair()
+        if line == "column":
+            mu, nu = nu, mu
+        C = cost_matrix(mu, nu, 1)
+        eps = 1e-4
+        assert (np.exp(-C / eps).sum(axis=1 if line == "row" else 0) == 0).any()
+        # one level at the target eps from zero potentials: no schedule to absorb
+        zeros = np.zeros(5)
+        with pytest.raises(TransportError, match="underflow"):
+            transport._sinkhorn_potentials(
+                mu.weights, nu.weights, C, eps, zeros, zeros, 20000, 1e-3, 1.0
+            )
+
+    def test_converges_only_through_absorption(self):
+        mu, nu = far_atom_pair()
+        C = cost_matrix(mu, nu, 1)
+        eps = 1e-4
+        assert C.max() / eps > 9 * 708  # exp(-708) is near the smallest normal double
+        got = transport._sinkhorn_cost(mu, nu, C, eps, 20000, 1e-3)
+        want = reference_sinkhorn_cost(mu, nu, C, eps, 20000, 1e-3)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        exact = wasserstein_exact(mu, nu, p=1)[0]
+        assert wasserstein_sinkhorn(mu, nu, p=1, epsilon=eps) == pytest.approx(exact, rel=0.02)
+
+    def test_absorbs_out_of_bound_scalings_within_a_level(self, monkeypatch):
+        # one level from zero potentials at C.max() / eps = 600: the kernel is
+        # representable, but the far atom's scaling reaches about 1e259
+        mu, nu = far_atom_pair()
+        C = cost_matrix(mu, nu, 1)
+        eps = float(C.max()) / 600
+        builds = []
+        real = transport._gibbs_kernel
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transport, "_gibbs_kernel", counting)
+        zeros = np.zeros(5)
+        a, b = mu.weights, nu.weights
+        f, g, viol = transport._sinkhorn_potentials(a, b, C, eps, zeros, zeros, 20000, 1e-3, 1.0)
+        assert len(builds) > 1
+        rf, rg, rviol = reference_sinkhorn_potentials(
+            np.log(a), np.log(b), C, eps, zeros, zeros, 20000, 1e-3, 1.0
+        )
+        assert viol < 1e-3 and viol == pytest.approx(rviol, rel=1e-9)
+        plan = np.exp((f[:, None] + g[None, :] - C) / eps)
+        want = np.exp((rf[:, None] + rg[None, :] - C) / eps)
+        assert np.sum(plan * C) == pytest.approx(np.sum(want * C), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_raises_not_nan(self, monkeypatch, bad):
+        real = transport._gibbs_kernel
+
+        def poisoned(*args):
+            K = real(*args)
+            K[1, 2] = bad
+            return K
+
+        monkeypatch.setattr(transport, "_gibbs_kernel", poisoned)
+        mu, nu = random_pair(2, m=6, equal_weights=False)
+        with pytest.raises(TransportError, match="underflow"):
+            transport.distance(mu, nu, 2, "sinkhorn", 1e-3)
 
 
 class TestDual:
