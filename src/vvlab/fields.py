@@ -92,7 +92,6 @@ class ScalarField2D:
 
     grid: Grid2D
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
     _spectral: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

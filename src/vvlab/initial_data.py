@@ -1,7 +1,7 @@
 """Initial vorticity library: Taylor-Green, mollified patch pairs, random L1/Linf data.
 
 Every constructor returns a mean-zero field (zero total circulation on the
-torus) and records its L1/Linf norms in the field metadata.
+torus); ``make_initial_data`` checks that.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from vvlab.fields import Grid2D, ScalarField2D, FieldError, norms
+from vvlab.fields import Grid2D, ScalarField2D, FieldError
 
 
 def taylor_green(grid: Grid2D, amplitude: float = 2.0) -> ScalarField2D:
@@ -104,12 +104,10 @@ KINDS = tuple(GENERATORS)
 
 
 def make_initial_data(kind: str, grid: Grid2D, **params) -> ScalarField2D:
-    """Dispatch to the named constructor; attach norms and provenance metadata."""
+    """Dispatch to the named constructor and check that its field is mean-zero."""
     if kind not in GENERATORS:
         raise FieldError(f"unknown initial data kind {kind!r}; choose from {KINDS}")
     f = GENERATORS[kind](grid, **params)
     if not f.mean_zero:
         raise FieldError(f"initial data {kind!r} with params {params} is not mean-zero")
-    rep = norms(f)
-    f.metadata.update({"kind": kind, "params": dict(params), "l1": rep.l1, "linf": rep.linf})
     return f

@@ -2,11 +2,13 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
 
 from vvlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from vvlab.harness import summary_schema
 from vvlab.io import write_csv
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml"
@@ -37,8 +39,9 @@ class TestRunVerb:
         code = main(["run", "--config", str(tiny_config)])
         assert code == EXIT_OK
         outdir = tmp_path / "runs" / "cli-tiny-seed0"
-        assert (outdir / "summary.json").exists()
         assert (outdir / "rate_series.csv").exists()
+        # emit_report does not validate; the written summary must still match its schema
+        jsonschema.validate(json.loads((outdir / "summary.json").read_text()), summary_schema())
         out = capsys.readouterr().out
         assert "exponent" in out
 
@@ -80,6 +83,17 @@ class TestRunVerb:
         ["--partcles.count", "0"],
         ["--grid.nn", "64"],
         ["--transport.epsilom", "1e-3"],
+        ["--transport", "null"],  # as a YAML section left empty
+        ["--particles", "null"],
+        ["--grid.n", "32.9"],  # int() would truncate these
+        ["--solver.record_every", "2.5"],
+        ["--particles.count", "499.9"],
+        ["--seed", "1.7"],
+        ["--seed", "true"],
+        ["--grid.length", "true"],  # float() would read this as 1.0
+        ["--solver.dealias", '"false"'],  # bool() would read these strings as true
+        ["--allow_unresolved", '"no"'],
+        ["--check_resolution", '"no"'],
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod

@@ -98,7 +98,8 @@ def test_no_module_imports_scipy_at_module_level():
 
 
 # Runs what ``vvlab run`` runs in a fresh interpreter and prints, as JSON, the
-# SciPy modules loaded after each stage and the modules run_experiment first imports.
+# SciPy modules loaded after each stage, the modules run_experiment first imports
+# and whether jsonschema was loaded by the end.
 RUN_PROBE = """
 import json, sys, tempfile
 import vvlab.cli
@@ -116,6 +117,7 @@ loaded["run_first_imports"] = sorted(set(sys.modules) - before)
 with tempfile.TemporaryDirectory() as out:
     harness.emit_report(series, cfg, out)
 loaded["report"] = scipy_modules()
+loaded["jsonschema"] = "jsonschema" in sys.modules
 print(json.dumps(loaded))
 """
 
@@ -147,6 +149,12 @@ def run_modules(method: str) -> dict:
 def test_sinkhorn_run_never_loads_scipy():
     loaded = run_modules("sinkhorn")
     assert loaded["import"] == loaded["config"] == loaded["report"] == []
+
+
+@pytest.mark.parametrize("method", ["sinkhorn", "exact"])
+def test_run_never_loads_jsonschema(method):
+    # the tests and the bench gate validate summaries; a run only writes them
+    assert run_modules(method)["jsonschema"] is False
 
 
 def test_exact_config_loads_highs_during_set_up():
