@@ -10,9 +10,12 @@ real-FFT half spectra, shape (2, n, n//2+1). The gradient and Biot-Savart
 multipliers, with the optional 2/3-rule dealiasing folded in, and the
 integrating factors are built once per trajectory. Each RK stage makes one
 batched inverse transform (2 velocity and 4 gradient spectra) and one batched
-``numpy.fft.rfft2`` (2 advection products), the FFT :mod:`vvlab.fields` uses
-too. The inverse is ``irfft2`` split into its two passes, the complex column
-pass done in place in the scratch spectra, which is bit for bit the same.
+forward transform (2 advection products), both ``numpy.fft``, the FFT
+:mod:`vvlab.fields` uses too. Each is ``irfft2`` or ``rfft2`` split into its
+two passes, which is bit for bit the same, and each complex column pass runs
+only on the leading half-spectrum columns the dealiasing mask keeps (n//3 + 1
+of n//2 + 1): every multiplier is zero past them. The inverse column pass is
+done in place in the scratch spectra.
 The odd derivative multipliers are zero on the Nyquist row and column, which
 the real part of a complex inverse transform also discards.
 A snapshot inverts both parts and their undealiased velocity in one transform.
@@ -86,6 +89,8 @@ class _Kernel:
         self.bs1, self.bs2 = self.vel1 * mask, self.vel2 * mask
         self.out = -cfg.dt * mask
         self.out[0, 0] = 0.0  # exact mean-zero preservation
+        # the leading columns the mask keeps; every multiplier is zero past them
+        self.c = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
         self.e_full = self.e_half * self.e_half
         # gradient spectra of both parts, then the two velocity spectra
@@ -102,11 +107,17 @@ class _Kernel:
         adv = w[0] - w[1]
         np.multiply(self.bs1, adv, out=buf[4])
         np.multiply(self.bs2, adv, out=buf[5])
-        phys = self._inverse(buf)
+        c = self.c
+        phys = self._inverse(buf, c)
         u1, u2 = phys[4], phys[5]
         if check_cfl:
             _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
-        return self.out * rfft2(u1 * phys[:2] + u2 * phys[2:4])
+        # rfft2's two passes, the column pass only where ``out`` is nonzero
+        spec = np.fft.rfft(u1 * phys[:2] + u2 * phys[2:4], axis=-1)
+        np.fft.fft(spec[..., :c], axis=-2, out=spec[..., :c])
+        spec[..., c:] = 0.0
+        np.multiply(self.out[:, :c], spec[..., :c], out=spec[..., :c])
+        return spec
 
     def snapshot(self, w: np.ndarray, members: bool = True) -> np.ndarray:
         """Physical values of both parts (if ``members``), then the velocity (u1, u2)."""
@@ -118,9 +129,10 @@ class _Kernel:
         np.multiply(self.vel2, adv, out=buf[s + 1])
         return self._inverse(buf)
 
-    def _inverse(self, buf: np.ndarray) -> np.ndarray:
-        """``irfft2`` of the scratch spectra ``buf``, its column pass done in place."""
-        np.fft.ifft(buf, axis=-2, out=buf)
+    def _inverse(self, buf: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """``irfft2`` of the scratch spectra ``buf``, its column pass done in place
+        on the leading ``cols`` columns (all by default); the rest must be zero."""
+        np.fft.ifft(buf[..., :cols], axis=-2, out=buf[..., :cols])
         return np.fft.irfft(buf, self.n, axis=-1)
 
     def step(self, w: np.ndarray) -> np.ndarray:

@@ -200,7 +200,8 @@ def torus_delta(a: np.ndarray, b: np.ndarray, length: float) -> np.ndarray:
 def torus_distance(x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
     """Euclidean torus distance between points of shape (..., 2)."""
     d = torus_delta(np.asarray(x, float), np.asarray(y, float), length)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    d1, d2 = d[..., 0], d[..., 1]
+    return np.sqrt(d1 * d1 + d2 * d2)
 
 
 def torus_wrap(x: np.ndarray, period: float) -> np.ndarray:
@@ -217,21 +218,17 @@ def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n, h = u.grid.n, u.grid.spacing
     s = torus_wrap(pts / h, n)
-    floor = np.floor(s)
-    i0 = floor.astype(int)
-    frac = s - floor
-    i1 = (i0 + 1) % n
+    i0 = s.astype(int)  # truncation is the floor: s is nonnegative
+    frac = s - i0
+    i1 = i0 + 1
+    i1[i1 == n] = 0
     fx, fy = frac[:, 0], frac[:, 1]
+    gx, gy = 1 - fx, 1 - fy
     # flat indices of the four corners into the row-major n x n samples
     r0, r1 = n * i0[:, 0], n * i1[:, 0]
     corners = (r0 + i0[:, 1], r1 + i0[:, 1], r0 + i1[:, 1], r1 + i1[:, 1])
     out = np.empty_like(pts)
     for c, comp in enumerate((u.u1, u.u2)):
         v00, v10, v01, v11 = (comp.take(k) for k in corners)
-        out[:, c] = (
-            v00 * (1 - fx) * (1 - fy)
-            + v10 * fx * (1 - fy)
-            + v01 * (1 - fx) * fy
-            + v11 * fx * fy
-        )
+        out[:, c] = v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy
     return out

@@ -30,7 +30,7 @@ from vvlab.coupling import (
 )
 from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split
 from vvlab.fields import (
-    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
+    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm,
 )
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
@@ -128,7 +128,7 @@ class ExperimentConfig:
             )
             particles, transport = _section(tree, "particles"), _section(tree, "transport")
             kwargs = dict(
-                name=tree.get("name", "experiment"),
+                name=_text(tree.get("name", "experiment"), "name"),
                 initial_kind=init["kind"],
                 initial_params=dict(init.get("params", {})),
                 n=_whole(grid["n"], "grid.n"),
@@ -143,7 +143,7 @@ class ExperimentConfig:
                 transport_epsilon=_number(transport.get("epsilon", 1e-4), "transport.epsilon"),
                 max_support=_whole(transport.get("max_support", 600), "transport.max_support"),
                 seed=_whole(tree.get("seed", 0), "seed"),
-                output_dir=tree.get("output_dir", "runs"),
+                output_dir=_text(tree.get("output_dir", "runs"), "output_dir"),
                 allow_unresolved=_flag(tree.get("allow_unresolved", False), "allow_unresolved"),
                 check_resolution=_flag(tree.get("check_resolution", False), "check_resolution"),
             )
@@ -214,6 +214,13 @@ def _flag(value, key: str) -> bool:
     """A boolean config value; ``bool()`` would read the string "no" as true."""
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, key: str) -> str:
+    """A string config value; YAML reads ``null`` as None, which ``Path`` refuses."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -305,8 +312,9 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
     except FieldError as e:
         raise ConfigError(f"initial data: {e}") from e
-    norms0 = norms(omega0)
-    linf0, l1_0 = norms0.linf, norms0.l1
+    # fields.norms' L1 and Linf; its H^-1 part would transform and cache omega0's spectrum
+    l1_0 = grid.spacing ** 2 * float(np.abs(omega0.values).sum())
+    linf0 = float(np.abs(omega0.values).max())
     split0 = split_signed(omega0)
     eval_times = _resolve_eval_times(cfg)
     t_end = max(eval_times)

@@ -94,6 +94,8 @@ class TestRunVerb:
         ["--solver.dealias", '"false"'],  # bool() would read these strings as true
         ["--allow_unresolved", '"no"'],
         ["--check_resolution", '"no"'],
+        ["--name", "null"],  # the report would go to None-seed0
+        ["--output_dir", "null"],
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod
@@ -104,6 +106,13 @@ class TestRunVerb:
         monkeypatch.setattr(harness_mod, "run_split", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
+
+    def test_null_output_dir_without_output_flag_is_config_error(self, tmp_path, monkeypatch):
+        # without --output the report path is built from output_dir, Path(None) raised
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--config", str(SMOKE), "--output_dir", "null"])
+        assert code == EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("override", [
         ["--initial_data.kind", "foo"],

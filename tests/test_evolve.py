@@ -353,7 +353,7 @@ def scipy_snapshot(kernel, w):
 class TestKernelMatchesScipyFFT:
     """The kernel on numpy.fft, bit for bit against the same step on scipy.fft."""
 
-    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("n", [32, 128, 256])
     @pytest.mark.parametrize("dealias,nu", KERNEL_CASES)
     def test_step_and_snapshot(self, n, dealias, nu):
         import scipy.fft as scipy_fft
@@ -372,3 +372,22 @@ class TestKernelMatchesScipyFFT:
         assert np.array_equal(w_numpy, w_scipy)
         assert np.array_equal(snap_numpy, scipy_snapshot(kernel, w_scipy))
         assert np.array_equal(kernel.snapshot(w_numpy, members=False), snap_numpy[2:])
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [32, 128, 256])
+def test_kernel_multipliers_vanish_past_kept_columns(n, dealias):
+    """The stepper transforms only the leading ``c`` half-spectrum columns; every
+    multiplier must be zero past them, and column ``c - 1`` must be in use."""
+    cfg = SolverConfig(nu=1e-3, dt=1e-3, t_end=1.0, dealias=dealias)
+    kernel = evolve._Kernel(Grid2D(n, 1.0), cfg)
+    c = kernel.c
+    assert c == (n // 3 + 1 if dealias else n // 2 + 1)
+    ops = {"ik1": kernel.ik1, "ik2": kernel.ik2, "bs1": kernel.bs1, "bs2": kernel.bs2,
+           "out": kernel.out}
+    for name, op in ops.items():
+        assert not op[:, c:].any(), name
+        # ik2 and bs1 carry k2, which is zeroed on the Nyquist column n/2
+        if name in ("ik2", "bs1") and c - 1 == n // 2:
+            continue
+        assert op[:, c - 1].any(), name

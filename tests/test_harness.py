@@ -177,12 +177,14 @@ class TestRunExperiment:
             assert r.w2_split_sum >= 0
 
     def test_report_emission_and_schema(self, series, tmp_path):
+        import jsonschema
+
         cfg = small_config()
         summary = emit_report(series, cfg, tmp_path)
         assert (tmp_path / "rate_series.csv").exists()
         assert (tmp_path / "loglog.csv").exists()
-        assert (tmp_path / "summary.json").exists()
         on_disk = json.loads((tmp_path / "summary.json").read_text())
+        jsonschema.validate(on_disk, summary_schema())
         assert on_disk["empty"] is False
         assert on_disk["fits"] == summary["fits"]
         header = (tmp_path / "rate_series.csv").read_text().splitlines()[0]
