@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft2
 
-from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms, require_mean_zero
+from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, require_mean_zero
 
 CFL_LIMIT = 0.5
 
@@ -235,11 +235,12 @@ def check_apriori(tr: SplitTrajectory, tol: float = 1e-2) -> AprioriReport:
     """
     if len(tr.times) < 2:
         raise ValueError("trajectory needs at least 2 snapshots")
-    monitors = [norms(tr.full_at(t)) for t in tr.times]
-    l1_0 = monitors[0].l1
-    linf_0 = monitors[0].linf
-    rel_l1 = np.array([m.l1 / l1_0 - 1.0 for m in monitors])
-    rel_linf = np.array([m.linf / linf_0 - 1.0 for m in monitors])
+    fulls = [tr.full_at(t) for t in tr.times]
+    # fields.norms' L1 and Linf; its H^-1 part would cost an fft2 per snapshot
+    l1 = [f.grid.spacing ** 2 * float(np.abs(f.values).sum()) for f in fulls]
+    linf = [float(np.abs(f.values).max()) for f in fulls]
+    rel_l1 = np.array([v / l1[0] - 1.0 for v in l1])
+    rel_linf = np.array([v / linf[0] - 1.0 for v in linf])
     if tr.config.nu == 0:
         viol = np.maximum(np.abs(rel_l1), np.abs(rel_linf))
     else:

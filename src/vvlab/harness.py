@@ -13,7 +13,8 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from copy import copy
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,26 +42,75 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(path: str, read, default=MISSING, **kw):
+    """A config field: its dotted file key, its reader, and its default if the key is optional."""
+    return dc_field(default=default, metadata={"path": path, "read": read}, **kw)
+
+
+def _whole(value, key: str) -> int:
+    """An integer config value; a fraction or a boolean is refused, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A float config value. Strings are read: YAML loads ``1e-4`` as one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> list:
+    """A list of float config values; a string or a mapping is refused, not iterated."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(v, key) for v in value]
+
+
+def _flag(value, key: str) -> bool:
+    """A boolean config value; ``bool()`` would read the string "no" as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _text(value, key: str) -> str:
+    """A string config value; YAML reads ``null`` as None, which ``Path`` refuses."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _mapping(value, key: str) -> dict:
+    """A section or free-form mapping; null (``--transport null``, an empty block) is refused."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 @dataclass
 class ExperimentConfig:
-    name: str = "experiment"
-    initial_kind: str = "patch_pair"
-    initial_params: dict = dc_field(default_factory=dict)
-    n: int = 128
-    length: float = 1.0
-    nu_ladder: list = dc_field(default_factory=lambda: [3e-3, 1.7e-3, 9.5e-4, 5.3e-4, 3e-4])
-    times: list = dc_field(default_factory=lambda: [0.1, 0.25, 0.5, 1.0])
-    dt: float = 2e-3
-    dealias: bool = True
-    record_every: int = 10
-    n_particles: int = 2000
-    transport_method: str = "sinkhorn"
-    transport_epsilon: float = 1e-4
-    max_support: int = 600
-    seed: int = 0
-    output_dir: str = "runs"
-    allow_unresolved: bool = False
-    check_resolution: bool = False
+    initial_kind: str = _key("initial_data.kind", _text)
+    n: int = _key("grid.n", _whole)
+    length: float = _key("grid.length", _number)
+    nu_ladder: list = _key("nu_ladder", _numbers)
+    times: list = _key("times", _numbers)
+    dt: float = _key("solver.dt", _number)
+    name: str = _key("name", _text, "experiment")
+    initial_params: dict = _key("initial_data.params", _mapping, default_factory=dict)
+    dealias: bool = _key("solver.dealias", _flag, True)
+    record_every: int = _key("solver.record_every", _whole, 10)
+    n_particles: int = _key("particles.count", _whole, 2000)
+    transport_method: str = _key("transport.method", _text, "sinkhorn")
+    transport_epsilon: float = _key("transport.epsilon", _number, 1e-4)
+    max_support: int = _key("transport.max_support", _whole, 600)
+    seed: int = _key("seed", _whole, 0)
+    output_dir: str = _key("output_dir", _text, "runs")
+    allow_unresolved: bool = _key("allow_unresolved", _flag, False)
+    check_resolution: bool = _key("check_resolution", _flag, False)
 
     def validate(self) -> None:
         nus = list(self.nu_ladder)
@@ -92,12 +142,11 @@ class ExperimentConfig:
             raise ConfigError(f"solver dt must be > 0, got {self.dt}")
         if self.record_every < 1:
             raise ConfigError(f"solver record_every must be >= 1, got {self.record_every}")
-        # times that land on one snapshot would give the fit the same rows twice
-        snapshots = {round(t / (self.record_every * self.dt)) for t in self.times}
-        if len(snapshots) < len(self.times):
-            raise ConfigError(f"evaluation times must not repeat, got {list(self.times)}")
+        _resolve_eval_times(self)
         if self.n_particles < 1:
             raise ConfigError(f"particles count must be >= 1, got {self.n_particles}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         try:
             grid = Grid2D(self.n, self.length)
         except ValueError as e:
@@ -119,109 +168,50 @@ class ExperimentConfig:
     def from_nested(cls, tree: dict) -> "ExperimentConfig":
         if not isinstance(tree, dict):
             raise ConfigError(f"experiment config must be a mapping, got {type(tree).__name__}")
-        unknown = list(_unknown_keys(tree, cls().to_nested()))
+        keys = {f.metadata["path"]: f for f in fields(cls)}
+        flat = dict(_flatten(tree, _nest(dict.fromkeys(keys).items())))
+        unknown = [path for path in flat if path not in keys]
         if unknown:
             raise ConfigError(f"unknown config key(s) {unknown}")
+        missing = [path for path, f in keys.items()
+                   if path not in flat and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"malformed experiment config: missing required key(s) {missing}")
         try:
-            init, grid, solver = (
-                _section(tree, k, required=True) for k in ("initial_data", "grid", "solver")
-            )
-            particles, transport = _section(tree, "particles"), _section(tree, "transport")
-            kwargs = dict(
-                name=_text(tree.get("name", "experiment"), "name"),
-                initial_kind=init["kind"],
-                initial_params=dict(init.get("params", {})),
-                n=_whole(grid["n"], "grid.n"),
-                length=_number(grid["length"], "grid.length"),
-                nu_ladder=[_number(v, "nu_ladder") for v in tree["nu_ladder"]],
-                times=[_number(v, "times") for v in tree["times"]],
-                dt=_number(solver["dt"], "solver.dt"),
-                dealias=_flag(solver.get("dealias", True), "solver.dealias"),
-                record_every=_whole(solver.get("record_every", 10), "solver.record_every"),
-                n_particles=_whole(particles.get("count", 2000), "particles.count"),
-                transport_method=transport.get("method", "sinkhorn"),
-                transport_epsilon=_number(transport.get("epsilon", 1e-4), "transport.epsilon"),
-                max_support=_whole(transport.get("max_support", 600), "transport.max_support"),
-                seed=_whole(tree.get("seed", 0), "seed"),
-                output_dir=_text(tree.get("output_dir", "runs"), "output_dir"),
-                allow_unresolved=_flag(tree.get("allow_unresolved", False), "allow_unresolved"),
-                check_resolution=_flag(tree.get("check_resolution", False), "check_resolution"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            kwargs = {f.name: f.metadata["read"](flat[path], path)
+                      for path, f in keys.items() if path in flat}
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"malformed experiment config: {e}") from e
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
     def to_nested(self) -> dict:
-        return {
-            "name": self.name,
-            "initial_data": {"kind": self.initial_kind, "params": dict(self.initial_params)},
-            "grid": {"n": self.n, "length": self.length},
-            "nu_ladder": list(self.nu_ladder),
-            "times": list(self.times),
-            "solver": {"dt": self.dt, "dealias": self.dealias, "record_every": self.record_every},
-            "particles": {"count": self.n_particles},
-            "transport": {
-                "method": self.transport_method,
-                "epsilon": self.transport_epsilon,
-                "max_support": self.max_support,
-            },
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "allow_unresolved": self.allow_unresolved,
-            "check_resolution": self.check_resolution,
-        }
+        return _nest((f.metadata["path"], copy(getattr(self, f.name))) for f in fields(self))
 
 
-def _unknown_keys(tree: dict, layout: dict, prefix: str = ""):
-    """Dotted paths in ``tree`` that ``layout`` lacks. A mapping that is empty in
-    the layout (``initial_data.params``) is free-form and not searched."""
+def _nest(items) -> dict:
+    """A tree from (dotted path, value) pairs."""
+    tree = {}
+    for path, value in items:
+        *sections, key = path.split(".")
+        node = tree
+        for s in sections:
+            node = node.setdefault(s, {})
+        node[key] = value
+    return tree
+
+
+def _flatten(tree: dict, layout: dict, prefix: str = ""):
+    """(dotted path, value) pairs of a config tree. A section of ``layout`` is
+    walked and must be a mapping. Any other key is a leaf, so an unknown section
+    is named on its own and ``initial_data.params`` stays whole."""
     for key, value in tree.items():
         path = f"{prefix}{key}"
-        if key not in layout:
-            yield path
-        elif isinstance(value, dict) and isinstance(layout[key], dict) and layout[key]:
-            yield from _unknown_keys(value, layout[key], path + ".")
-
-
-def _section(tree: dict, key: str, required: bool = False) -> dict:
-    """A config section, which must be a mapping: a null one (``--transport null``,
-    or an empty YAML block) is refused. An optional section may be left out."""
-    value = tree[key] if required else tree.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {key!r} must be a mapping, got {value!r}")
-    return value
-
-
-def _whole(value, key: str) -> int:
-    """An integer config value; a fraction or a boolean is refused, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """A float config value. Strings are read: YAML loads ``1e-4`` as one."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _flag(value, key: str) -> bool:
-    """A boolean config value; ``bool()`` would read the string "no" as true."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _text(value, key: str) -> str:
-    """A string config value; YAML reads ``null`` as None, which ``Path`` refuses."""
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
+        if isinstance(layout.get(key), dict):
+            yield from _flatten(_mapping(value, path), layout[key], path + ".")
+        else:
+            yield path, value
 
 
 def apply_override(tree: dict, path: str, raw: str) -> None:
@@ -270,10 +260,14 @@ def _steps(t: float, unit: float, what: str) -> int:
 
 
 def _resolve_eval_times(cfg: ExperimentConfig):
-    """Snap evaluation times onto the snapshot grid (record_every * dt)."""
+    """Snap evaluation times onto the snapshot grid (record_every * dt). Two times
+    on one snapshot would give the fit the same rows twice, so they are refused."""
     snap_dt = cfg.record_every * cfg.dt
     what = f"snapshot interval {snap_dt} (record_every * dt)"
-    return [_steps(t, snap_dt, what) * snap_dt for t in cfg.times]
+    times = [_steps(t, snap_dt, what) * snap_dt for t in cfg.times]
+    if len(set(times)) < len(times):
+        raise ConfigError(f"evaluation times must not repeat, got {list(cfg.times)}")
+    return times
 
 
 def _hm1_error(tr: SplitTrajectory, ref: SplitTrajectory, t: float):

@@ -96,6 +96,9 @@ class TestRunVerb:
         ["--check_resolution", '"no"'],
         ["--name", "null"],  # the report would go to None-seed0
         ["--output_dir", "null"],
+        ["--initial_data.params", "[[radius, 0.1]]"],  # dict() would read these pairs
+        ["--grid", "null"],
+        ["--seed", "-1"],  # the coupling's random generator takes no negative seed
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod

@@ -210,6 +210,20 @@ class TestApriori:
         assert not rep.ok
         assert rep.worst_index == len(tr.times) - 1
 
+    def test_computes_no_hm1_norm(self, grid32, monkeypatch):
+        # the margins are those of fields.norms, whose H^-1 part would cost an fft2 each
+        from vvlab import fields
+
+        tr = split_run(random_mean_zero_field(grid32, 3),
+                       SolverConfig(nu=0.01, dt=2e-3, t_end=0.01, record_every=1))
+        ref = monitors(tr)
+        calls = []
+        monkeypatch.setattr(fields, "hm1_norm", calls.append)
+        rep = check_apriori(tr)
+        assert calls == []
+        assert rep.l1_margin == max(m.l1 / ref[0].l1 - 1.0 for m in ref)
+        assert rep.linf_margin == max(m.linf / ref[0].linf - 1.0 for m in ref)
+
     def test_needs_two_snapshots(self, tg64):
         tr = split_run(tg64, SolverConfig(nu=0.0, dt=1e-3, t_end=0.0))
         assert tr.times == [0.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -65,8 +66,26 @@ def patch_config(**kw) -> ExperimentConfig:
 
 
 class TestConfig:
-    def test_validate_accepts_default(self):
-        ExperimentConfig().validate()
+    def test_required_keys_have_no_default(self):
+        required = [f.name for f in dataclasses.fields(ExperimentConfig)
+                    if f.default is f.default_factory is dataclasses.MISSING]
+        assert required == ["initial_kind", "n", "length", "nu_ladder", "times", "dt"]
+        with pytest.raises(TypeError):
+            ExperimentConfig()
+
+    @pytest.mark.parametrize("section,key,named", [
+        ("grid", "n", "grid.n"),
+        (None, "solver", "solver.dt"),  # a missing section: the required key it holds
+    ])
+    def test_missing_required_key_is_named(self, section, key, named):
+        tree = small_config().to_nested()
+        del (tree[section] if section else tree)[key]
+        with pytest.raises(ConfigError, match=rf"missing required key\(s\) \['{named}'\]"):
+            ExperimentConfig.from_nested(tree)
+
+    def test_off_grid_time_refused_by_validate(self):
+        with pytest.raises(ConfigError, match="snapshot"):
+            small_config(times=[0.013]).validate()
 
     def test_rejects_non_decreasing_ladder(self):
         with pytest.raises(ConfigError, match="decreasing"):
@@ -116,7 +135,9 @@ class TestConfig:
     ))
     def test_shipped_configs_load(self, path):
         tree = yaml.safe_load((ROOT / path).read_text())
-        assert ExperimentConfig.from_nested(tree).name == tree["name"]
+        cfg = ExperimentConfig.from_nested(tree)
+        assert cfg.name == tree["name"]
+        assert ExperimentConfig.from_nested(cfg.to_nested()) == cfg
 
     def test_apply_override_types(self):
         tree = small_config().to_nested()
