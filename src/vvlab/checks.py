@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from vvlab.fields import Grid2D, ScalarField2D
+from vvlab.fields import Grid2D, ScalarField2D, torus_delta
 from vvlab.transport import (
     DiscreteMeasure,
     check_hm1_domination,
@@ -47,10 +47,8 @@ def random_bump_pair(rng, n: int = 32, length: float = 1.0):
     x1, x2 = grid.coords()
 
     def bump(center, width):
-        d1 = x1 - center[0]
-        d1 -= length * np.round(d1 / length)
-        d2 = x2 - center[1]
-        d2 -= length * np.round(d2 / length)
+        d1 = torus_delta(x1, center[0], length)
+        d2 = torus_delta(x2, center[1], length)
         return np.exp(-(d1 * d1 + d2 * d2) / (2 * width * width))
 
     c1 = rng.uniform(0.2, 0.8, size=2)

@@ -19,6 +19,7 @@ from vvlab.fields import (
     ScalarField2D,
     VectorField2D,
     interpolate_velocity,
+    norms,
     torus_distance,
     torus_wrap,
 )
@@ -117,9 +118,7 @@ def init_coupling(omega0: ScalarField2D, n_particles: int, rng_seed: int) -> Cou
         raise CouplingError("n_particles must be >= 1")
     split = split_signed(omega0)
     rng = np.random.default_rng([rng_seed, 0x1D])
-    h2 = omega0.grid.spacing ** 2
-    m_plus = float(split.plus.values.sum()) * h2
-    m_minus = float(split.minus.values.sum()) * h2
+    m_plus, m_minus = norms(split.plus).l1, norms(split.minus).l1
     total = m_plus + m_minus
     if total <= 0:
         raise CouplingError("initial vorticity has no mass")

@@ -7,17 +7,16 @@ One integrating-factor RK4 kernel (Kassam & Trefethen, SISC 2005) advances
 the pair: advection by classical RK4, diffusion exactly by the factor
 exp(-nu |k|^2 dt), so nu = 0 selects the Euler branch. It acts on the two
 real-FFT half spectra, shape (2, n, n//2+1). The gradient and Biot-Savart
-multipliers, with the optional 2/3-rule dealiasing folded in, and the
-integrating factors are built once per trajectory. Each RK stage makes one
-batched inverse transform (2 velocity and 4 gradient spectra) and one batched
-forward transform (2 advection products), both ``numpy.fft``, the FFT
+multipliers, with the 2/3-rule dealiasing mask folded in, and the integrating
+factors are built once per trajectory. Each RK stage makes one batched inverse
+transform (2 velocity and 4 gradient spectra) and one batched forward
+transform (2 advection products), both ``numpy.fft``, the FFT
 :mod:`vvlab.fields` uses too. Each is ``irfft2`` or ``rfft2`` split into its
 two passes, which is bit for bit the same, and each complex column pass runs
 only on the leading half-spectrum columns the dealiasing mask keeps (n//3 + 1
 of n//2 + 1): every multiplier is zero past them. The inverse column pass is
-done in place in the scratch spectra.
-The odd derivative multipliers are zero on the Nyquist row and column, which
-the real part of a complex inverse transform also discards.
+done in place in the scratch spectra. The mask also zeroes the Nyquist row and
+column, which the real part of a complex inverse transform discards.
 A snapshot inverts both parts and their undealiased velocity in one transform.
 """
 
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft2
 
-from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, require_mean_zero
+from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms, require_mean_zero
 
 CFL_LIMIT = 0.5
 
@@ -42,7 +41,6 @@ class SolverConfig:
     nu: float
     dt: float
     t_end: float
-    dealias: bool = True
     record_every: int = 1
 
     def __post_init__(self):
@@ -71,15 +69,11 @@ class _Kernel:
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         n, half = grid.n, grid.n // 2 + 1
         k1, k2, k_sq, inv_k_sq = (a[:, :half] for a in grid.wavenumbers())
-        if cfg.dealias:
-            keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
-            mask = np.outer(keep, keep[:half]).astype(float)
-        else:
-            mask = np.ones((n, half))
+        # the 2/3 rule; it also zeroes the Nyquist row and column
+        keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3
+        mask = np.outer(keep, keep[:half]).astype(float)
         self.ik1 = 1j * k1 * mask
         self.ik2 = 1j * k2 * mask
-        self.ik1[n // 2, :] = 0.0
-        self.ik2[:, n // 2] = 0.0
         # u = grad^perp psi with psi_hat = -omega_hat / |k|^2; the advecting
         # velocity is dealiased, the snapshot one is not, like fields.biot_savart
         self.vel1 = 1j * k2 * inv_k_sq
@@ -90,7 +84,7 @@ class _Kernel:
         self.out = -cfg.dt * mask
         self.out[0, 0] = 0.0  # exact mean-zero preservation
         # the leading columns the mask keeps; every multiplier is zero past them
-        self.c = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
+        self.c = n // 3 + 1
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
         self.e_full = self.e_half * self.e_half
         # gradient spectra of both parts, then the two velocity spectra
@@ -235,12 +229,9 @@ def check_apriori(tr: SplitTrajectory, tol: float = 1e-2) -> AprioriReport:
     """
     if len(tr.times) < 2:
         raise ValueError("trajectory needs at least 2 snapshots")
-    fulls = [tr.full_at(t) for t in tr.times]
-    # fields.norms' L1 and Linf; its H^-1 part would cost an fft2 per snapshot
-    l1 = [f.grid.spacing ** 2 * float(np.abs(f.values).sum()) for f in fulls]
-    linf = [float(np.abs(f.values).max()) for f in fulls]
-    rel_l1 = np.array([v / l1[0] - 1.0 for v in l1])
-    rel_linf = np.array([v / linf[0] - 1.0 for v in linf])
+    mons = [norms(tr.full_at(t)) for t in tr.times]
+    rel_l1 = np.array([m.l1 / mons[0].l1 - 1.0 for m in mons])
+    rel_linf = np.array([m.linf / mons[0].linf - 1.0 for m in mons])
     if tr.config.nu == 0:
         viol = np.maximum(np.abs(rel_l1), np.abs(rel_linf))
     else:

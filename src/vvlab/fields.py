@@ -139,12 +139,11 @@ class VectorField2D:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Grid-quadrature norms of a scalar field; hm1 is NaN unless mean-zero."""
+    """Grid-quadrature norms of a scalar field; its H^-1 norm is :func:`hm1_norm`."""
 
     l1: float
     l2: float
     linf: float
-    hm1: float
 
 
 def require_mean_zero(f: ScalarField2D, what: str) -> None:
@@ -182,13 +181,12 @@ def hm1_norm(f: ScalarField2D) -> float:
 
 
 def norms(f: ScalarField2D) -> NormReport:
-    """L1/L2/Linf by midpoint quadrature; hm1 only when the field is mean-zero."""
+    """L1/L2/Linf by midpoint quadrature."""
     dA = f.grid.spacing ** 2
     l1 = dA * float(np.abs(f.values).sum())
     l2 = math.sqrt(dA * float((f.values ** 2).sum()))
     linf = float(np.abs(f.values).max())
-    hm1 = hm1_norm(f) if f.mean_zero else math.nan
-    return NormReport(l1=l1, l2=l2, linf=linf, hm1=hm1)
+    return NormReport(l1=l1, l2=l2, linf=linf)
 
 
 def torus_delta(a: np.ndarray, b: np.ndarray, length: float) -> np.ndarray:

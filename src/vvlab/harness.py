@@ -31,7 +31,7 @@ from vvlab.coupling import (
 )
 from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split
 from vvlab.fields import (
-    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm,
+    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
 )
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
@@ -57,10 +57,16 @@ def _whole(value, key: str) -> int:
 
 
 def _number(value, key: str) -> float:
-    """A float config value. Strings are read: YAML loads ``1e-4`` as one."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    """A finite float config value. Strings are read: YAML loads ``1e-4`` as one."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _numbers(value, key: str) -> list:
@@ -101,7 +107,6 @@ class ExperimentConfig:
     dt: float = _key("solver.dt", _number)
     name: str = _key("name", _text, "experiment")
     initial_params: dict = _key("initial_data.params", _mapping, default_factory=dict)
-    dealias: bool = _key("solver.dealias", _flag, True)
     record_every: int = _key("solver.record_every", _whole, 10)
     n_particles: int = _key("particles.count", _whole, 2000)
     transport_method: str = _key("transport.method", _text, "sinkhorn")
@@ -306,15 +311,11 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
     except FieldError as e:
         raise ConfigError(f"initial data: {e}") from e
-    # fields.norms' L1 and Linf; its H^-1 part would transform and cache omega0's spectrum
-    l1_0 = grid.spacing ** 2 * float(np.abs(omega0.values).sum())
-    linf0 = float(np.abs(omega0.values).max())
+    norms0 = norms(omega0)
     split0 = split_signed(omega0)
     eval_times = _resolve_eval_times(cfg)
     t_end = max(eval_times)
-    scfg_euler = SolverConfig(
-        nu=0.0, dt=cfg.dt, t_end=t_end, dealias=cfg.dealias, record_every=cfg.record_every
-    )
+    scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
     euler_tr = run_split(split0.plus, split0.minus, scfg_euler)
 
     rows: list[RateRow] = []
@@ -370,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
                     nu=nu, t=t, err_l2_velocity=err_hm1, w1_vorticity=w1_sum,
                     w2_split_sum=w2_sum, q_estimate=q_at_t,
                 ))
-                _check_chain(rows[-1], l1_0, linf0, err_hm1, invariant_violations, series, t)
+                _check_chain(rows[-1], norms0, invariant_violations, series)
             # drop this leg's snapshots and velocities before the next leg integrates
             del ns_tr
         # a numerical failure stays in its leg; a programming error fails the run
@@ -432,17 +433,19 @@ def _average_velocity(a: VectorField2D, b: VectorField2D) -> VectorField2D:
     return VectorField2D(a.grid, 0.5 * (a.u1 + b.u1), 0.5 * (a.u2 + b.u2))
 
 
-def _check_chain(row: RateRow, l1_0, linf0, err_hm1, violations, series, t) -> None:
-    tol = 0.05
-    if row.w1_vorticity > math.sqrt(l1_0) * row.w2_split_sum * (1 + tol) + 1e-9:
+def _check_chain(row: RateRow, norms0, violations, series) -> None:
+    """The W1 <= sqrt(L1) W2, H^-1 <= sqrt(Linf) W2 and W2^2 <= Q chain of one row;
+    ``norms0`` holds the initial vorticity's norms."""
+    tol, t = 0.05, row.t
+    if row.w1_vorticity > math.sqrt(norms0.l1) * row.w2_split_sum * (1 + tol) + 1e-9:
         violations.append(
             f"nu={row.nu} t={t}: W1 {row.w1_vorticity:.3e} exceeds "
-            f"sqrt(L1) * W2-sum {math.sqrt(l1_0) * row.w2_split_sum:.3e}"
+            f"sqrt(L1) * W2-sum {math.sqrt(norms0.l1) * row.w2_split_sum:.3e}"
         )
-    if err_hm1 > math.sqrt(linf0) * row.w2_split_sum * (1 + tol) + 1e-9:
+    if row.err_l2_velocity > math.sqrt(norms0.linf) * row.w2_split_sum * (1 + tol) + 1e-9:
         violations.append(
-            f"nu={row.nu} t={t}: H^-1 error {err_hm1:.3e} exceeds "
-            f"sqrt(Linf) * W2-sum {math.sqrt(linf0) * row.w2_split_sum:.3e}"
+            f"nu={row.nu} t={t}: H^-1 error {row.err_l2_velocity:.3e} exceeds "
+            f"sqrt(Linf) * W2-sum {math.sqrt(norms0.linf) * row.w2_split_sum:.3e}"
         )
     q_tol = 3.0 * float(np.interp(t, series.times, series.stderr)) + 0.25 * row.q_estimate + 1e-6
     if row.w2_split_sum ** 2 > row.q_estimate + q_tol:

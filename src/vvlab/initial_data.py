@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from vvlab.fields import Grid2D, ScalarField2D, FieldError
+from vvlab.fields import FieldError, Grid2D, ScalarField2D, torus_delta
 
 
 def taylor_green(grid: Grid2D, amplitude: float = 2.0) -> ScalarField2D:
@@ -33,11 +33,8 @@ def taylor_green_decay_rate(grid: Grid2D, nu: float) -> float:
 def _mollified_disc(grid: Grid2D, center, radius: float, edge_width: float) -> np.ndarray:
     """Indicator of a disc smoothed with a tanh profile over ``edge_width``."""
     x1, x2 = grid.coords()
-    L = grid.length
-    d1 = x1 - center[0]
-    d1 -= L * np.round(d1 / L)
-    d2 = x2 - center[1]
-    d2 -= L * np.round(d2 / L)
+    d1 = torus_delta(x1, center[0], grid.length)
+    d2 = torus_delta(x2, center[1], grid.length)
     rho = np.sqrt(d1 * d1 + d2 * d2)
     return 0.5 * (1.0 - np.tanh((rho - radius) / edge_width))
 

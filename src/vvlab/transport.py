@@ -1,8 +1,8 @@
 """Wasserstein distances between discrete measures on the torus.
 
 :func:`distance` is the one entry point for experiment runs: it selects the
-exact or the Sinkhorn route by name, with the Sinkhorn stopping rule fixed
-here. The routes behind it are cross-checked against each other:
+exact or the Sinkhorn route by name. The routes behind it are cross-checked
+against each other:
 
 * an exact linear-programming solver (SciPy's HiGHS, imported on first use)
   for supports of up to 4096 atoms, solved by column generation: the LP runs
@@ -14,8 +14,9 @@ here. The routes behind it are cross-checked against each other:
   divergence (Feydy et al., AISTATS 2019). It iterates on scalings u, v of a
   stabilised Gibbs kernel, one exponential per epsilon-level, and absorbs the
   scalings into the dual potentials whenever they grow or shrink too far
-  (Schmitzer, SISC 2019). Its self-terms depend on one measure each, so every
-  measure memoises its own.
+  (Schmitzer, SISC 2019). It has one stopping rule, SINKHORN_TOL within
+  SINKHORN_MAX_ITER iterations per epsilon-level. Its self-terms depend on one
+  measure each, so every measure memoises its own.
 
 Signed fields enter through :func:`split_signed`; measures are unnormalized
 (arbitrary equal total mass), matching the mass-factor in the W1 <= sqrt(m) W2
@@ -37,10 +38,10 @@ MASS_FLOOR_RTOL = 1e-12
 BRUTE_FORCE_MAX_ATOMS = 8  # m! assignments are enumerated
 NEIGHBOURS = 8  # nearest partners per atom to start; entering pairs per row/column
 PRICING_RTOL = 1e-12  # reduced-cost threshold, relative to the largest cost
-# Stopping rule of the Sinkhorn route of :func:`distance`. On the short_time
-# benchmark workload, wasserstein_sinkhorn's default tol of 1e-4 moves W2 by 6e-5
-# and W1 by 1.4e-5 relative, far below the top-k support truncation error, and
-# makes the whole run 1.7 times slower (0.80 s -> 1.34 s, best of 4, 2 cores).
+# Stopping rule of wasserstein_sinkhorn: the relative marginal violation per
+# epsilon-level. On the short_time benchmark workload a tol of 1e-4 moves W2 by
+# 6e-5 and W1 by 1.4e-5 relative, far below the top-k support truncation error,
+# and makes the whole run 1.7 times slower (0.80 s -> 1.34 s, best of 4, 2 cores).
 SINKHORN_MAX_ITER = 20000
 SINKHORN_TOL = 1e-3
 # Sinkhorn scalings outside [1/SCALING_BOUND, SCALING_BOUND] are absorbed into
@@ -59,7 +60,7 @@ class DiscreteMeasure:
     points: np.ndarray  # (m, 2)
     weights: np.ndarray  # (m,)
     length: float
-    # Sinkhorn self-costs by (p, eps, max_iter, tol): never change a measure in place
+    # Sinkhorn self-costs by (p, eps): never change a measure in place
     _self_costs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -306,7 +307,7 @@ def wasserstein_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2
     return (w0 * best) ** (1.0 / p)
 
 
-def _sinkhorn_potentials(a, b, C, eps, f, g, max_iter, tol, mass):
+def _sinkhorn_potentials(a, b, C, eps, f, g, mass):
     """Balanced Sinkhorn at fixed eps in the scaling domain; returns (f, g, violation).
 
     The plan is u_i K_ij v_j with the stabilised kernel K = exp((f + g - C) / eps),
@@ -321,7 +322,7 @@ def _sinkhorn_potentials(a, b, C, eps, f, g, max_iter, tol, mass):
     # an underflowed kernel line gives a zero, infinite or NaN scaling, which
     # _in_bounds turns into a TransportError
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(SINKHORN_MAX_ITER):
             u = a / Kv
             v = b / np.vecmat(u, K)
             if not (_in_bounds(u) and _in_bounds(v)):
@@ -331,7 +332,7 @@ def _sinkhorn_potentials(a, b, C, eps, f, g, max_iter, tol, mass):
             Kv = np.matvec(K, v)
             # row-marginal violation of the plan (columns are exact after the v-update)
             viol = float(np.sum(np.abs(u * Kv - a))) / mass
-            if viol < tol:
+            if viol < SINKHORN_TOL:
                 break
     return f + eps * np.log(u), g + eps * np.log(v), viol
 
@@ -354,7 +355,7 @@ def _in_bounds(s: np.ndarray) -> bool:
     return False
 
 
-def _sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
+def _sinkhorn_cost(mu, nu, C, eps_target):
     """Primal transport cost <pi, C> with an epsilon-scaling schedule."""
     mass = mu.total_mass
     eps = max(float(C.max()), eps_target)
@@ -368,14 +369,14 @@ def _sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
     f = np.zeros(len(a))
     g = np.zeros(len(b))
     while True:
-        f, g, viol = _sinkhorn_potentials(a, b, C, eps, f, g, max_iter, tol, mass)
+        f, g, viol = _sinkhorn_potentials(a, b, C, eps, f, g, mass)
         if eps <= eps_target:
             break
         eps = max(eps * 0.5, eps_target)
-    if viol >= tol:
+    if viol >= SINKHORN_TOL:
         raise TransportError(
-            f"Sinkhorn did not converge: marginal violation {viol:.3e} >= tol {tol:.1e} "
-            f"after {max_iter} iterations at eps={eps:.3e}"
+            f"Sinkhorn did not converge: marginal violation {viol:.3e} >= tol "
+            f"{SINKHORN_TOL:.1e} after {SINKHORN_MAX_ITER} iterations at eps={eps:.3e}"
         )
     log_pi = (f[:, None] + g[None, :] - C) / eps
     pi = np.exp(log_pi)
@@ -383,12 +384,7 @@ def _sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
 
 
 def wasserstein_sinkhorn(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    p: int = 2,
-    epsilon: float = 1e-3,
-    max_iter: int = 20000,
-    tol: float = 1e-4,
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2, epsilon: float = 1e-3
 ) -> float:
     """Debiased entropic transport distance (Sinkhorn divergence form).
 
@@ -402,19 +398,19 @@ def wasserstein_sinkhorn(
     _check_mass_equality(mu, nu)
     if len(mu) == 0 or len(nu) == 0:
         return 0.0
-    cost_ab = _sinkhorn_cost(mu, nu, cost_matrix(mu, nu, p), epsilon, max_iter, tol)
-    cost_aa = _self_cost(mu, p, epsilon, max_iter, tol)
-    cost_bb = _self_cost(nu, p, epsilon, max_iter, tol)
+    cost_ab = _sinkhorn_cost(mu, nu, cost_matrix(mu, nu, p), epsilon)
+    cost_aa = _self_cost(mu, p, epsilon)
+    cost_bb = _self_cost(nu, p, epsilon)
     div = max(cost_ab - 0.5 * (cost_aa + cost_bb), 0.0)
     return div ** (1.0 / p)
 
 
-def _self_cost(meas: DiscreteMeasure, p, eps, max_iter, tol) -> float:
+def _self_cost(meas: DiscreteMeasure, p, eps) -> float:
     """Sinkhorn cost of ``meas`` against itself, memoised on the measure."""
-    key = (p, eps, max_iter, tol)
+    key = (p, eps)
     if key not in meas._self_costs:
         C = cost_matrix(meas, meas, p)
-        meas._self_costs[key] = _sinkhorn_cost(meas, meas, C, eps, max_iter, tol)
+        meas._self_costs[key] = _sinkhorn_cost(meas, meas, C, eps)
     return meas._self_costs[key]
 
 
@@ -422,14 +418,11 @@ def distance(
     mu: DiscreteMeasure, nu: DiscreteMeasure, p: int, method: str, epsilon: float
 ) -> float:
     """W_p of two equal-mass measures: ``method`` "exact" is :func:`wasserstein_exact`,
-    "sinkhorn" the debiased :func:`wasserstein_sinkhorn` at ``epsilon`` and the
-    SINKHORN_MAX_ITER / SINKHORN_TOL stopping rule."""
+    "sinkhorn" the debiased :func:`wasserstein_sinkhorn` at ``epsilon``."""
     if method == "exact":
         return wasserstein_exact(mu, nu, p=p)[0]
     if method == "sinkhorn":
-        return wasserstein_sinkhorn(
-            mu, nu, p=p, epsilon=epsilon, max_iter=SINKHORN_MAX_ITER, tol=SINKHORN_TOL
-        )
+        return wasserstein_sinkhorn(mu, nu, p=p, epsilon=epsilon)
     raise TransportError(f"unknown transport method {method!r}")
 
 
@@ -490,24 +483,17 @@ def check_order_w1_w2(mu: DiscreteMeasure, nu: DiscreteMeasure, slack_tol: float
 
 
 def check_hm1_domination(
-    f: ScalarField2D,
-    g: ScalarField2D,
-    rel_tol: float = 0.05,
-    max_support: int = 2000,
-    epsilon: float = 1e-4,
+    f: ScalarField2D, g: ScalarField2D, rel_tol: float = 0.05, max_support: int = 2000
 ):
     """||f - g||_{H^-1} <= max(||f||_inf, ||g||_inf)^(1/2) W2(f, g) through the
-    full discrete pipeline (field -> measure -> transport)."""
+    full discrete pipeline (field -> measure -> exact transport)."""
     if np.any(f.values < 0) or np.any(g.values < 0):
         raise TransportError("domination check requires nonnegative fields")
     diff = ScalarField2D(f.grid, f.values - g.values)
     lhs = hm1_norm(diff)
     mu = field_to_measure(f, max_support=max_support)
     nu = field_to_measure(g, max_support=max_support)
-    if len(mu) + len(nu) <= 600:
-        w2, _ = wasserstein_exact(mu, nu, p=2)
-    else:
-        w2 = wasserstein_sinkhorn(mu, nu, p=2, epsilon=epsilon)
+    w2, _ = wasserstein_exact(mu, nu, p=2)
     rhs = math.sqrt(max(norms(f).linf, norms(g).linf)) * w2
     ok = lhs <= rhs * (1.0 + rel_tol) + 1e-12
     return InequalityReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, ok=ok)

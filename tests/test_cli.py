@@ -91,14 +91,16 @@ class TestRunVerb:
         ["--seed", "1.7"],
         ["--seed", "true"],
         ["--grid.length", "true"],  # float() would read this as 1.0
-        ["--solver.dealias", '"false"'],  # bool() would read these strings as true
-        ["--allow_unresolved", '"no"'],
+        ["--solver.dealias", "true"],  # the 2/3 rule is the stepper's only mask
+        ["--allow_unresolved", '"no"'],  # bool() would read these strings as true
         ["--check_resolution", '"no"'],
         ["--name", "null"],  # the report would go to None-seed0
         ["--output_dir", "null"],
         ["--initial_data.params", "[[radius, 0.1]]"],  # dict() would read these pairs
         ["--grid", "null"],
         ["--seed", "-1"],  # the coupling's random generator takes no negative seed
+        ["--grid.length", '"abc"'],  # float() would raise without naming the key
+        ["--transport.method", "sinkhorn", "--transport.epsilon", ".inf"],  # NaN W columns
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
         import vvlab.harness as harness_mod
@@ -109,6 +111,17 @@ class TestRunVerb:
         monkeypatch.setattr(harness_mod, "run_split", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("override,message", [
+        (["--grid.length", '"abc"'], "grid.length must be a finite number, got 'abc'"),
+        (["--transport.epsilon", ".inf"], "transport.epsilon must be a finite number"),
+        (["--nu_ladder", "[.nan]"], "nu_ladder must be a finite number"),
+        (["--solver.dealias", "true"], "unknown config key(s) ['solver.dealias']"),
+    ])
+    def test_config_error_names_its_key(self, override, message, tmp_path, capsys):
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_null_output_dir_without_output_flag_is_config_error(self, tmp_path, monkeypatch):
         # without --output the report path is built from output_dir, Path(None) raised

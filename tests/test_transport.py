@@ -312,7 +312,7 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return out + np.squeeze(shift, axis=axis)
 
 
-def reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, max_iter, tol, mass):
+def reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, mass):
     """Balanced log-domain Sinkhorn at fixed eps; returns (f, g, violation).
 
     The iteration the scaling-domain solver reproduces: the same updates, the
@@ -321,7 +321,7 @@ def reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, max_iter, tol, mas
     viol = math.inf
     a = np.exp(log_a)
     row_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
-    for _ in range(max_iter):
+    for _ in range(transport.SINKHORN_MAX_ITER):
         f = eps * log_a - eps * row_lse
         g = eps * log_b - eps * _logsumexp((f[:, None] - C) / eps, axis=0)
         # row-marginal violation of the implied plan (columns are exact): the
@@ -330,12 +330,12 @@ def reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, max_iter, tol, mas
         next_lse = _logsumexp((g[None, :] - C) / eps, axis=1)
         viol = float(np.sum(a * np.abs(np.expm1(next_lse - row_lse)))) / mass
         row_lse = next_lse
-        if viol < tol:
+        if viol < transport.SINKHORN_TOL:
             break
     return f, g, viol
 
 
-def reference_sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
+def reference_sinkhorn_cost(mu, nu, C, eps_target):
     """Primal transport cost <pi, C> of log-domain Sinkhorn with epsilon-scaling."""
     mass = mu.total_mass
     with np.errstate(divide="ignore"):
@@ -345,13 +345,11 @@ def reference_sinkhorn_cost(mu, nu, C, eps_target, max_iter, tol):
     g = np.zeros(len(nu))
     eps = max(float(C.max()), eps_target)
     while True:
-        f, g, viol = reference_sinkhorn_potentials(
-            log_a, log_b, C, eps, f, g, max_iter, tol, mass
-        )
+        f, g, viol = reference_sinkhorn_potentials(log_a, log_b, C, eps, f, g, mass)
         if eps <= eps_target:
             break
         eps = max(eps * 0.5, eps_target)
-    assert viol < tol
+    assert viol < transport.SINKHORN_TOL
     return float(np.sum(np.exp((f[:, None] + g[None, :] - C) / eps) * C))
 
 
@@ -390,7 +388,7 @@ class TestSinkhorn:
     @pytest.mark.parametrize("p", [1, 2])
     def test_distance_is_the_debiased_route(self, seed, p):
         mu, nu = random_pair(seed, m=12, equal_weights=False)
-        want = wasserstein_sinkhorn(mu, nu, p=p, epsilon=1e-3, max_iter=20000, tol=1e-3)
+        want = wasserstein_sinkhorn(mu, nu, p=p, epsilon=1e-3)
         # fresh measures, so the self-terms are solved again rather than recalled
         fresh = random_pair(seed, m=12, equal_weights=False)
         assert transport.distance(*fresh, p, "sinkhorn", 1e-3) == want
@@ -409,9 +407,12 @@ class TestSinkhorn:
         for _ in range(2):
             transport.distance(mu, nu, 2, "sinkhorn", 1e-3)
         transport.distance(mu, nu, 1, "sinkhorn", 1e-3)
-        wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-3)  # another tol: another key
-        # cross terms every call; self-terms once per (measure, p, eps, max_iter, tol)
-        assert solves == [False, True, True, False, False, True, True, False, True, True]
+        wasserstein_sinkhorn(mu, nu, p=1, epsilon=1e-3)  # the same key
+        wasserstein_sinkhorn(mu, nu, p=2, epsilon=2e-3)  # another eps: another key
+        # cross terms every call; self-terms once per (measure, p, eps)
+        assert solves == [False, True, True, False, False, True, True, False,
+                          False, True, True]
+        assert set(mu._self_costs) == {(2, 1e-3), (1, 1e-3), (2, 2e-3)}
         assert "_self_costs" not in repr(mu)
 
     def test_distance_rejects_unknown_method(self):
@@ -470,9 +471,8 @@ class TestScalingDomain:
         mu, nu = patch_measures(length, m)
         assert len(mu) == len(nu) == m
         C = cost_matrix(mu, nu, p)
-        args = (eps, transport.SINKHORN_MAX_ITER, transport.SINKHORN_TOL)
-        got = transport._sinkhorn_cost(mu, nu, C, *args)
-        want = reference_sinkhorn_cost(mu, nu, C, *args)
+        got = transport._sinkhorn_cost(mu, nu, C, eps)
+        want = reference_sinkhorn_cost(mu, nu, C, eps)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_zero_weight_atoms_are_dropped(self):
@@ -482,8 +482,8 @@ class TestScalingDomain:
         nu.weights *= mu.total_mass / nu.total_mass
         C = cost_matrix(mu, nu, 2)
         # kept, they would get zero scalings, which the underflow guard refuses
-        want = reference_sinkhorn_cost(mu, nu, C, 1e-3, 20000, 1e-3)
-        got = transport._sinkhorn_cost(mu, nu, C, 1e-3, 20000, 1e-3)
+        want = reference_sinkhorn_cost(mu, nu, C, 1e-3)
+        got = transport._sinkhorn_cost(mu, nu, C, 1e-3)
         dist = wasserstein_sinkhorn(mu, nu, p=2, epsilon=1e-3)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert math.isfinite(dist) and dist > 0
@@ -505,17 +505,15 @@ class TestScalingDomain:
         # one level at the target eps from zero potentials: no schedule to absorb
         zeros = np.zeros(5)
         with pytest.raises(TransportError, match="underflow"):
-            transport._sinkhorn_potentials(
-                mu.weights, nu.weights, C, eps, zeros, zeros, 20000, 1e-3, 1.0
-            )
+            transport._sinkhorn_potentials(mu.weights, nu.weights, C, eps, zeros, zeros, 1.0)
 
     def test_converges_only_through_absorption(self):
         mu, nu = far_atom_pair()
         C = cost_matrix(mu, nu, 1)
         eps = 1e-4
         assert C.max() / eps > 9 * 708  # exp(-708) is near the smallest normal double
-        got = transport._sinkhorn_cost(mu, nu, C, eps, 20000, 1e-3)
-        want = reference_sinkhorn_cost(mu, nu, C, eps, 20000, 1e-3)
+        got = transport._sinkhorn_cost(mu, nu, C, eps)
+        want = reference_sinkhorn_cost(mu, nu, C, eps)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
         exact = wasserstein_exact(mu, nu, p=1)[0]
         assert wasserstein_sinkhorn(mu, nu, p=1, epsilon=eps) == pytest.approx(exact, rel=0.02)
@@ -536,10 +534,10 @@ class TestScalingDomain:
         monkeypatch.setattr(transport, "_gibbs_kernel", counting)
         zeros = np.zeros(5)
         a, b = mu.weights, nu.weights
-        f, g, viol = transport._sinkhorn_potentials(a, b, C, eps, zeros, zeros, 20000, 1e-3, 1.0)
+        f, g, viol = transport._sinkhorn_potentials(a, b, C, eps, zeros, zeros, 1.0)
         assert len(builds) > 1
         rf, rg, rviol = reference_sinkhorn_potentials(
-            np.log(a), np.log(b), C, eps, zeros, zeros, 20000, 1e-3, 1.0
+            np.log(a), np.log(b), C, eps, zeros, zeros, 1.0
         )
         assert viol < 1e-3 and viol == pytest.approx(rviol, rel=1e-9)
         plan = np.exp((f[:, None] + g[None, :] - C) / eps)
