@@ -7,7 +7,11 @@ Verbs:
 * ``check``  -- run the inequality/invariant suites
 * ``oracle`` -- brute-force transport solver on small instances
 
-Exit codes: 0 success, 1 invariant violation, 2 configuration error.
+Exit codes: 0 success, 1 invariant violation, 2 configuration error (a config,
+override, CSV or instance file that cannot be opened, parsed or used), 3 a
+viscosity leg of ``run`` failed numerically: its rows are missing from the
+report, and 3 wins over 1. Any other exception is a programming error and is
+raised, never reported as one of these.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+EXIT_LEG_ERROR = 3
 
 
 def _positive_int(raw: str) -> int:
@@ -56,9 +61,20 @@ def _parse_overrides(extra: list[str]) -> list[tuple[str, str]]:
     return out
 
 
+def _read(path: str, parse):
+    """``parse`` applied to the text file at ``path``; a file that cannot be
+    opened or parsed is a configuration error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except ConfigError:
+        raise
+    except (OSError, ValueError, yaml.YAMLError, csv.Error) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def cmd_run(args, extra) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        tree = yaml.safe_load(fh) or {}
+    tree = _read(args.config, yaml.safe_load) or {}
     for path, raw in _parse_overrides(extra):
         apply_override(tree, path, raw)
     cfg = ExperimentConfig.from_nested(tree)
@@ -69,20 +85,27 @@ def cmd_run(args, extra) -> int:
     for t, fit in sorted(series.fits.items()):
         print(f"  t={t:g}: exponent {fit.exponent:.3f} "
               f"[{fit.ci_low:.3f}, {fit.ci_high:.3f}] (R^2={fit.r_squared:.4f})")
-    if summary["invariant_violations"]:
-        for msg in summary["invariant_violations"]:
-            print(f"invariant violation: {msg}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    for msg in summary["invariant_violations"]:
+        print(f"invariant violation: {msg}", file=sys.stderr)
+    for nu, msg in summary["leg_errors"]:
+        print(f"leg error: nu={nu}: {msg}", file=sys.stderr)
+    if summary["leg_errors"]:
+        return EXIT_LEG_ERROR
+    return EXIT_VIOLATION if summary["invariant_violations"] else EXIT_OK
 
 
 def cmd_fit(args, extra) -> int:
     from vvlab.ratefit import fit_rate
 
-    rows = []
-    with open(args.csv, encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((float(rec["nu"]), float(rec["t"]), float(rec[args.column])))
+    def parse(fh):
+        reader = csv.DictReader(fh)
+        columns = reader.fieldnames or []
+        missing = [c for c in ("nu", "t", args.column) if c not in columns]
+        if missing:
+            raise ConfigError(f"{args.csv} has no column {missing}; its columns are {columns}")
+        return [(float(rec["nu"]), float(rec["t"]), float(rec[args.column])) for rec in reader]
+
+    rows = _read(args.csv, parse)
     times = sorted({t for _, t, _ in rows})
     if args.time is not None:
         times = [t for t in times if abs(t - args.time) < 1e-12]
@@ -124,11 +147,13 @@ def cmd_oracle(args, extra) -> int:
     from vvlab.transport import DiscreteMeasure, wasserstein_brute_force, wasserstein_exact
 
     if args.instance:
-        spec = json.loads(Path(args.instance).read_text())
-        mu = DiscreteMeasure(np.array(spec["mu"]["points"]), np.array(spec["mu"]["weights"]),
-                             spec["length"])
-        nu = DiscreteMeasure(np.array(spec["nu"]["points"]), np.array(spec["nu"]["weights"]),
-                             spec["length"])
+        spec = _read(args.instance, json.load)
+        try:
+            parts = [(spec[m]["points"], spec[m]["weights"], spec["length"]) for m in ("mu", "nu")]
+        except (KeyError, TypeError) as e:
+            raise ConfigError(f"instance {args.instance} has no mu/nu points, weights "
+                              f"and length: {e!r}") from e
+        mu, nu = (DiscreteMeasure(np.array(p), np.array(w), length) for p, w, length in parts)
     else:
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, 1, size=(2, args.atoms, 2))
@@ -178,9 +203,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.verb](args, extra)
     except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, yaml.YAMLError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,12 +10,13 @@ distance between the viscous and inviscid signed vorticity parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it here, not inside a run)
 
 from vvlab.fields import (
+    ParticleWork,
     ScalarField2D,
     VectorField2D,
     interpolate_velocity,
@@ -40,18 +41,39 @@ class CouplingEnsemble:
     rng_seed: int
     time: float = 0.0
     step_index: int = 0
+    # the work arrays of this ensemble's steps and estimates, which each step
+    # hands on to the ensemble it returns
+    _work: _Work | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = torus_wrap(np.asarray(self.x, float).reshape(-1, 2), self.length)
         self.y = torus_wrap(np.asarray(self.y, float).reshape(-1, 2), self.length)
         self.weights = np.asarray(self.weights, float).reshape(-1)
         self.signs = np.asarray(self.signs, int).reshape(-1)
+        if self._work is None:
+            self._work = _Work(self)
 
     def __len__(self):
         return len(self.weights)
 
     def mass(self, sign: int) -> float:
         return float(self.weights[self.signs == sign].sum())
+
+
+class _Work:
+    """Arrays of the particle count that the steps and estimates of one chain
+    of ensembles (same particles, weights and signs) reuse."""
+
+    def __init__(self, ens: CouplingEnsemble):
+        m = len(ens)
+        self.particles = ParticleWork(m)
+        self.delta = np.empty((m, 2))  # a step's drift, then its noise
+        self.finite = np.empty((m, 2), dtype=bool)
+        # per sign: the sign, its particles' indices and their total weight
+        self.signs = []
+        for sign in (1, -1):
+            sel = ens.signs == sign
+            self.signs.append((sign, np.flatnonzero(sel), float(ens.weights[sel].sum())))
 
 
 @dataclass
@@ -157,24 +179,32 @@ def advance_coupling(
 
     The Gaussian draw is keyed on (ensemble seed, step index), so a run is
     reproducible and independent of any internal parallelization order.
+    The new positions are the only arrays the step allocates.
     """
-    x = ens.x + dt * interpolate_velocity(u, ens.x)
-    y = ens.y + dt * interpolate_velocity(u_nu, ens.y)
+    work = ens._work
+
+    def moved(pos, vel):  # pos + dt * interpolate_velocity(vel, pos)
+        drift = interpolate_velocity(vel, pos, work.particles)
+        return np.add(pos, np.multiply(dt, drift, out=work.delta))
+
+    x, y = moved(ens.x, u), moved(ens.y, u_nu)
     if nu > 0:
         rng = np.random.Generator(np.random.Philox(key=[ens.rng_seed, ens.step_index + 1]))
-        y = y + math.sqrt(2.0 * nu * dt) * rng.standard_normal(size=y.shape)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        noise = rng.standard_normal(out=work.delta)
+        np.add(y, np.multiply(math.sqrt(2.0 * nu * dt), noise, out=noise), out=y)
+    if not (np.isfinite(x, out=work.finite).all() and np.isfinite(y, out=work.finite).all()):
         bad = int(np.argwhere(~np.isfinite(x + y))[0][0])
         raise CouplingError(f"non-finite particle position at index {bad}")
     return CouplingEnsemble(
-        x=x,
-        y=y,
+        x=torus_wrap(x, ens.length, in_place=True),
+        y=torus_wrap(y, ens.length, in_place=True),
         weights=ens.weights,
         signs=ens.signs,
         length=ens.length,
         rng_seed=ens.rng_seed,
         time=ens.time + dt,
         step_index=ens.step_index + 1,
+        _work=work,
     )
 
 
@@ -186,23 +216,27 @@ def estimate_q(ens: CouplingEnsemble) -> QEstimate:
     """
     if len(ens) == 0:
         raise CouplingError("empty ensemble")
-    d2 = torus_distance(ens.x, ens.y, ens.length) ** 2
+    work = ens._work
+    dist = torus_distance(ens.x, ens.y, ens.length, work.particles)
+    d2 = np.square(dist, out=dist)
+    # the per-sign values and their leave-one-out means, in the rows that
+    # torus_distance leaves free
+    vals_buf, loo_buf = work.particles.coords
     out = {}
     var = 0.0
-    for sign in (1, -1):
-        sel = ens.signs == sign
-        n = int(sel.sum())
+    for sign, idx, mass in work.signs:
+        n = len(idx)
         if n == 0:
             out[sign] = 0.0
             continue
-        mass = float(ens.weights[sel].sum())
-        vals = d2[sel]
+        vals = np.take(d2, idx, out=vals_buf[:n], mode="clip")
         q_s = mass * float(vals.mean())
         out[sign] = q_s
         if n > 1:
             # jackknife of the mean, scaled by the (fixed) mass
-            loo = (vals.sum() - vals) / (n - 1)
-            var += mass * mass * (n - 1) / n * float(((loo - loo.mean()) ** 2).sum())
+            loo = np.divide(np.subtract(vals.sum(), vals, out=loo_buf[:n]), n - 1, out=loo_buf[:n])
+            dev = np.square(np.subtract(loo, loo.mean(), out=loo), out=loo)
+            var += mass * mass * (n - 1) / n * float(dev.sum())
     return QEstimate(time=ens.time, q_plus=out[1], q_minus=out[-1], stderr=math.sqrt(var))
 
 

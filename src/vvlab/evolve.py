@@ -17,7 +17,11 @@ only on the leading half-spectrum columns the dealiasing mask keeps (n//3 + 1
 of n//2 + 1): every multiplier is zero past them. The inverse column pass is
 done in place in the scratch spectra. The mask also zeroes the Nyquist row and
 column, which the real part of a complex inverse transform discards.
-A snapshot inverts both parts and their undealiased velocity in one transform.
+A step allocates nothing: it advances the spectra in place, and every product,
+sum and transform writes with ``out=`` into work arrays built with the kernel,
+in the operations and order of the plain RK4 expressions, so the bits are
+theirs. A snapshot inverts both parts and their undealiased velocity in one
+transform.
 """
 
 from __future__ import annotations
@@ -87,58 +91,103 @@ class _Kernel:
         self.c = n // 3 + 1
         self.e_half = np.exp(-cfg.nu * k_sq * cfg.dt / 2.0)
         self.e_full = self.e_half * self.e_half
-        # gradient spectra of both parts, then the two velocity spectra
+        self.e_twice = 2.0 * self.e_half
+        # the real multipliers cast to complex once, as each product with a
+        # spectrum would cast them (into a fresh array every time)
+        self.out, self.e_half, self.e_full, self.e_twice = (
+            a.astype(complex) for a in (self.out, self.e_half, self.e_full, self.e_twice)
+        )
+        # work arrays, written with ``out=`` by every step and reused until the
+        # kernel goes: the gradient spectra of both parts and the two velocity
+        # spectra, their physical values, the slope k1, the sum k2 + k3, and the
+        # stage input, which also holds k3 and then k4
         self.buf = np.empty((6, n, half), dtype=complex)
+        self.phys = np.empty((6, n, n))
+        self.k1 = np.empty((2, n, half), dtype=complex)
+        self.k23 = np.empty_like(self.k1)
+        self.stage = np.empty_like(self.k1)
+        self.finite = np.empty(self.k1.shape, dtype=bool)
         self.n = n
         self.spacing = grid.spacing
         self.dt = cfg.dt
 
-    def rhs(self, w: np.ndarray, check_cfl: bool = False) -> np.ndarray:
-        """dt times the advection term -F[u . grad w] of both parts."""
-        buf = self.buf
+    def rhs(self, w: np.ndarray, dest: np.ndarray, check_cfl: bool = False) -> np.ndarray:
+        """dt times the advection term -F[u . grad w] of both parts, written to
+        ``dest``, which may be ``w`` itself."""
+        buf, phys, c = self.buf, self.phys, self.c
         np.multiply(self.ik1, w, out=buf[:2])
         np.multiply(self.ik2, w, out=buf[2:4])
-        adv = w[0] - w[1]
-        np.multiply(self.bs1, adv, out=buf[4])
+        adv = np.subtract(w[0], w[1], out=buf[4])
         np.multiply(self.bs2, adv, out=buf[5])
-        c = self.c
-        phys = self._inverse(buf, c)
+        np.multiply(self.bs1, adv, out=buf[4])
+        self._inverse(buf, phys, c)
         u1, u2 = phys[4], phys[5]
+        # u . grad w of both parts, over their x1-derivatives
+        np.multiply(u1, phys[:2], out=phys[:2])
+        np.add(phys[:2], np.multiply(u2, phys[2:4], out=phys[2:4]), out=phys[:2])
         if check_cfl:
-            _check_cfl(float(np.sqrt(u1 * u1 + u2 * u2).max()), self.spacing, self.dt)
-        # rfft2's two passes, the column pass only where ``out`` is nonzero
-        spec = np.fft.rfft(u1 * phys[:2] + u2 * phys[2:4], axis=-1)
-        np.fft.fft(spec[..., :c], axis=-2, out=spec[..., :c])
-        spec[..., c:] = 0.0
-        np.multiply(self.out[:, :c], spec[..., :c], out=spec[..., :c])
-        return spec
+            # the speed, in the rows the x2-derivatives have left
+            speed = np.multiply(u1, u1, out=phys[2])
+            np.sqrt(np.add(speed, np.multiply(u2, u2, out=phys[3]), out=speed), out=speed)
+            _check_cfl(float(speed.max()), self.spacing, self.dt)
+        # rfft2's two passes, the column pass only where ``out`` is nonzero;
+        # ``out`` multiplies the whole width, because numpy copies a strided
+        # column slice that is both input and output, and the tail is zeroed
+        np.fft.rfft(phys[:2], axis=-1, out=dest)
+        np.fft.fft(dest[..., :c], axis=-2, out=dest[..., :c])
+        np.multiply(self.out, dest, out=dest)
+        dest[..., c:] = 0.0
+        return dest
 
     def snapshot(self, w: np.ndarray, members: bool = True) -> np.ndarray:
         """Physical values of both parts (if ``members``), then the velocity (u1, u2)."""
         s = 2 if members else 0
         buf = self.buf[:s + 2]
         buf[:s] = w[:s]
-        adv = w[0] - w[1]
+        adv = np.subtract(w[0], w[1], out=buf[s + 1])
         np.multiply(self.vel1, adv, out=buf[s])
         np.multiply(self.vel2, adv, out=buf[s + 1])
         return self._inverse(buf)
 
-    def _inverse(self, buf: np.ndarray, cols: int | None = None) -> np.ndarray:
-        """``irfft2`` of the scratch spectra ``buf``, its column pass done in place
-        on the leading ``cols`` columns (all by default); the rest must be zero."""
+    def parts(self, w: np.ndarray) -> np.ndarray:
+        """Physical values of both parts, without the velocity."""
+        buf = self.buf[:2]
+        buf[:] = w
+        return self._inverse(buf)
+
+    def _inverse(self, buf: np.ndarray, dest: np.ndarray | None = None,
+                 cols: int | None = None) -> np.ndarray:
+        """``irfft2`` of the scratch spectra ``buf`` (into ``dest`` if given), its
+        column pass done in place on the leading ``cols`` columns (all by
+        default); the rest must be zero."""
         np.fft.ifft(buf[..., :cols], axis=-2, out=buf[..., :cols])
-        return np.fft.irfft(buf, self.n, axis=-1)
+        return np.fft.irfft(buf, self.n, axis=-1, out=dest)
 
     def step(self, w: np.ndarray) -> np.ndarray:
+        """Advance the spectra ``w`` one step in place and return them. Each
+        line computes what the comment above it says, in that order, into the
+        work arrays."""
         e_half, e_full = self.e_half, self.e_full
-        k1 = self.rhs(w, check_cfl=True)
-        k2 = self.rhs(e_half * (w + 0.5 * k1))
-        k3 = self.rhs(e_half * w + 0.5 * k2)
-        k4 = self.rhs(e_full * w + e_half * k3)
-        out = e_full * w + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
-        if not np.all(np.isfinite(out)):
+        k1, k23, x, tmp = self.k1, self.k23, self.stage, self.buf[:2]
+        self.rhs(w, k1, check_cfl=True)
+        # k2 = rhs(e_half * (w + 0.5 * k1))
+        np.multiply(e_half, np.add(w, np.multiply(0.5, k1, out=x), out=x), out=x)
+        self.rhs(x, k23)
+        # k3 = rhs(e_half * w + 0.5 * k2)
+        np.add(np.multiply(e_half, w, out=x), np.multiply(0.5, k23, out=tmp), out=x)
+        self.rhs(x, x)
+        # k4 = rhs(e_full * w + e_half * k3), after k23 = k2 + k3
+        np.add(k23, x, out=k23)
+        np.multiply(e_half, x, out=tmp)
+        np.add(np.multiply(e_full, w, out=x), tmp, out=x)
+        self.rhs(x, x)
+        # w = e_full * w + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
+        np.add(np.multiply(e_full, k1, out=k1), np.multiply(self.e_twice, k23, out=k23), out=k1)
+        np.divide(np.add(k1, x, out=k1), 6.0, out=k1)
+        np.add(np.multiply(e_full, w, out=w), k1, out=w)
+        if not np.isfinite(w, out=self.finite).all():
             raise SolverError("non-finite spectral coefficients after step (blow-up?)")
-        return out
+        return w
 
 
 def _steps_for(cfg: SolverConfig) -> int:
@@ -149,16 +198,24 @@ def _steps_for(cfg: SolverConfig) -> int:
 
 
 def _integrate(kernel: _Kernel, w: np.ndarray, cfg: SolverConfig):
-    """Advance the spectra ``w`` to t_end; yields (t, spectra) every
+    """Advance the spectra ``w`` in place to t_end; yields (step, spectra) every
     ``record_every`` steps and after the last one."""
     n_steps = _steps_for(cfg)
     for s in range(1, n_steps + 1):
         try:
-            w = kernel.step(w)
+            kernel.step(w)
         except SolverError as e:
             raise SolverError(f"step {s} (t={s * cfg.dt:.4g}): {e}") from e
         if s % cfg.record_every == 0 or s == n_steps:
-            yield s * cfg.dt, w
+            yield s, w
+
+
+def _start(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig):
+    """The kernel of a split run and the initial half spectra of both parts."""
+    grid = omega0_plus.grid
+    full0 = ScalarField2D(grid, omega0_plus.values - omega0_minus.values)
+    require_mean_zero(full0, "time stepping")
+    return _Kernel(grid, cfg), rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
 
 
 @dataclass
@@ -190,10 +247,7 @@ def run_split(
 ) -> SplitTrajectory:
     """Evolve the signed parts as passive scalars in their own induced flow."""
     grid = omega0_plus.grid
-    full0 = ScalarField2D(grid, omega0_plus.values - omega0_minus.values)
-    require_mean_zero(full0, "time stepping")
-    kernel = _Kernel(grid, cfg)
-    w = rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
+    kernel, w = _start(omega0_plus, omega0_minus, cfg)
     tr = SplitTrajectory(
         times=[0.0],
         plus=[omega0_plus],
@@ -201,13 +255,27 @@ def run_split(
         velocity=[VectorField2D(grid, *kernel.snapshot(w, members=False))],
         config=cfg,
     )
-    for t, w in _integrate(kernel, w, cfg):
+    for s, w in _integrate(kernel, w, cfg):
         values = kernel.snapshot(w)
-        tr.times.append(t)
+        tr.times.append(s * cfg.dt)
         tr.plus.append(ScalarField2D(grid, values[0]))
         tr.minus.append(ScalarField2D(grid, values[1]))
         tr.velocity.append(VectorField2D(grid, values[2], values[3]))
     return tr
+
+
+def full_fields(
+    omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig, steps
+) -> list[ScalarField2D]:
+    """The full field plus - minus of :func:`run_split`'s run after each of
+    ``steps`` (snapshot steps), transforming and keeping nothing else."""
+    kernel, w = _start(omega0_plus, omega0_minus, cfg)
+    wanted = {}
+    for s, w in _integrate(kernel, w, cfg):
+        if s in steps:
+            values = kernel.parts(w)
+            wanted[s] = ScalarField2D(omega0_plus.grid, values[0] - values[1])
+    return [wanted[s] for s in steps]
 
 
 @dataclass(frozen=True)

@@ -195,38 +195,70 @@ def torus_delta(a: np.ndarray, b: np.ndarray, length: float) -> np.ndarray:
     return d - length * np.round(d / length)
 
 
-def torus_distance(x: np.ndarray, y: np.ndarray, length: float) -> np.ndarray:
-    """Euclidean torus distance between points of shape (..., 2)."""
-    d = torus_delta(np.asarray(x, float), np.asarray(y, float), length)
-    d1, d2 = d[..., 0], d[..., 1]
-    return np.sqrt(d1 * d1 + d2 * d2)
+def torus_distance(x: np.ndarray, y: np.ndarray, length: float, work=None) -> np.ndarray:
+    """Euclidean torus distance between points of shape (..., 2). Given a
+    :class:`ParticleWork` (points of shape (m, 2)), it computes in the work
+    arrays and returns a view of them."""
+    x, y = (np.moveaxis(np.asarray(p, float), -1, 0) for p in (x, y))
+    d, q = (np.empty(x.shape), np.empty(x.shape)) if work is None else (work.coords, work.weights)
+    # torus_delta(x, y, length), then the norm
+    np.subtract(x, y, out=d)
+    np.subtract(d, np.multiply(length, np.round(np.divide(d, length, out=q), out=q), out=q), out=d)
+    d1, d2, q1, q2 = d[0, ...], d[1, ...], q[0, ...], q[1, ...]
+    return np.sqrt(np.add(np.multiply(d1, d1, out=q1), np.multiply(d2, d2, out=q2), out=q1), out=q1)
 
 
-def torus_wrap(x: np.ndarray, period: float) -> np.ndarray:
-    """``x`` folded into [0, period), skipped when every entry already lies there."""
+def torus_wrap(x: np.ndarray, period: float, in_place: bool = False) -> np.ndarray:
+    """``x`` folded into [0, period) (``x`` itself if ``in_place``), skipped when
+    every entry already lies there."""
     if x.size and x.min() >= 0 and x.max() < period:
         return x
-    y = np.mod(x, period)
+    y = np.mod(x, period, out=x if in_place else None)
     y[y == period] = 0.0  # np.mod(-1e-18, 1.0) rounds up to 1.0
     return y
 
 
-def interpolate_velocity(u: VectorField2D, points: np.ndarray) -> np.ndarray:
-    """Bilinear periodic interpolation of ``u`` at points of shape (m, 2)."""
+class ParticleWork:
+    """Work arrays for m particles. :func:`interpolate_velocity` and
+    :func:`torus_distance` given one write into it instead of allocating, and
+    return views of it that stay valid until its next use."""
+
+    def __init__(self, m: int):
+        # interpolation: scaled coordinates, then fractions; torus_distance:
+        # the displacement, left free once the distance is formed
+        self.coords = np.empty((2, m))
+        # interpolation: 1 - fractions; torus_distance: the distance, in row 0
+        self.weights = np.empty((2, m))
+        self.lo = np.empty((2, m), dtype=np.intp)      # lower cell index per axis
+        self.hi = np.empty((2, m), dtype=np.intp)      # upper cell index per axis
+        self.corner = np.empty(m, dtype=np.intp)       # flat index of one corner
+        self.value = np.empty(m)                       # one corner's weighted sample
+        self.result = np.empty((2, m))                 # the interpolated components
+
+
+def interpolate_velocity(u: VectorField2D, points: np.ndarray, work=None) -> np.ndarray:
+    """Bilinear periodic interpolation of ``u`` at points of shape (m, 2), into
+    the arrays of a :class:`ParticleWork` for m points if one is given."""
     pts = np.asarray(points, dtype=float)
+    work = ParticleWork(len(pts)) if work is None else work
     n, h = u.grid.n, u.grid.spacing
-    s = torus_wrap(pts / h, n)
-    i0 = s.astype(int)  # truncation is the floor: s is nonnegative
-    frac = s - i0
-    i1 = i0 + 1
-    i1[i1 == n] = 0
-    fx, fy = frac[:, 0], frac[:, 1]
-    gx, gy = 1 - fx, 1 - fy
+    s, i0, i1 = work.coords, work.lo, work.hi
+    torus_wrap(np.divide(pts.T, h, out=s), n, in_place=True)
+    np.copyto(i0, s, casting="unsafe")  # truncation is the floor: s is nonnegative
+    frac = np.subtract(s, i0, out=s)
+    np.bitwise_and(np.add(i0, 1, out=i1), n - 1, out=i1)  # i0 + 1 wrapped: n is a power of two
+    fx, fy = frac
+    gx, gy = np.subtract(1, frac, out=work.weights)
     # flat indices of the four corners into the row-major n x n samples
-    r0, r1 = n * i0[:, 0], n * i1[:, 0]
-    corners = (r0 + i0[:, 1], r1 + i0[:, 1], r0 + i1[:, 1], r1 + i1[:, 1])
-    out = np.empty_like(pts)
-    for c, comp in enumerate((u.u1, u.u2)):
-        v00, v10, v01, v11 = (comp.take(k) for k in corners)
-        out[:, c] = v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy
-    return out
+    r0, r1 = np.multiply(n, i0[0], out=i0[0]), np.multiply(n, i1[0], out=i1[0])
+    corners = ((r0, i0[1], gx, gy), (r1, i0[1], fx, gy), (r0, i1[1], gx, fy), (r1, i1[1], fx, fy))
+    # v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy, term by term
+    out, value = work.result, work.value
+    for i, (row, col, a, b) in enumerate(corners):
+        k = np.add(row, col, out=work.corner)
+        for comp, acc in zip((u.u1, u.u2), out):
+            term = comp.take(k, out=value if i else acc, mode="clip")
+            np.multiply(np.multiply(term, a, out=term), b, out=term)
+            if i:
+                np.add(acc, term, out=acc)
+    return out.T

@@ -29,7 +29,7 @@ from vvlab.coupling import (
     init_coupling,
     lemma1_ladder_stable,
 )
-from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split
+from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, full_fields, run_split
 from vvlab.fields import (
     FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
 )
@@ -231,7 +231,10 @@ def apply_override(tree: dict, path: str, raw: str) -> None:
         node = node.setdefault(k, {})
     if not isinstance(node, dict):
         raise ConfigError(f"config path {path!r} crosses a non-mapping node")
-    node[keys[-1]] = yaml.safe_load(raw)
+    try:
+        node[keys[-1]] = yaml.safe_load(raw)
+    except yaml.YAMLError as e:
+        raise ConfigError(f"override --{path}: {e}") from e
 
 
 @dataclass
@@ -275,9 +278,8 @@ def _resolve_eval_times(cfg: ExperimentConfig):
     return times
 
 
-def _hm1_error(tr: SplitTrajectory, ref: SplitTrajectory, t: float):
-    """Vorticity difference of two runs at time t and its H^-1 norm (the velocity L2 error)."""
-    a, b = tr.full_at(t), ref.full_at(t)
+def _hm1_error(a: ScalarField2D, b: ScalarField2D):
+    """The difference of two vorticity fields and its H^-1 norm (the velocity L2 error)."""
     diff = ScalarField2D(a.grid, a.values - b.values)
     return diff, hm1_norm(diff)
 
@@ -286,21 +288,21 @@ def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> dict:
     """Velocity L2 errors of a viscosity ladder against Euler: {t: [error per nu]}.
 
     H^-1 only, no transport or coupling: one inviscid run and one run per
-    viscosity, with a snapshot every gcd of the times' step counts.
+    viscosity, each keeping only its full fields at ``times``, reached with a
+    snapshot every gcd of the times' step counts.
     """
-    every = math.gcd(*(_steps(t, dt, f"time step {dt}") for t in times))
+    steps = [_steps(t, dt, f"time step {dt}") for t in times]
     split0 = split_signed(omega0)
 
-    def trajectory(nu: float) -> SplitTrajectory:
-        scfg = SolverConfig(nu=nu, dt=dt, t_end=max(times), record_every=every)
-        return run_split(split0.plus, split0.minus, scfg)
+    def fields_at_times(nu: float) -> list:
+        scfg = SolverConfig(nu=nu, dt=dt, t_end=max(times), record_every=math.gcd(*steps))
+        return full_fields(split0.plus, split0.minus, scfg, steps)
 
-    euler = trajectory(0.0)
+    euler = fields_at_times(0.0)
     errs = {t: [] for t in times}
     for nu in nus:
-        tr = trajectory(float(nu))
-        for t in times:
-            errs[t].append(_hm1_error(tr, euler, t)[1])
+        for t, full, ref in zip(times, fields_at_times(float(nu)), euler):
+            errs[t].append(_hm1_error(full, ref)[1])
     return errs
 
 
@@ -331,23 +333,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     for leg, nu in enumerate(cfg.nu_ladder):
         try:
             ns_tr = run_split(split0.plus, split0.minus, replace(scfg_euler, nu=nu))
-
-            # particle coupling along the snapshot grid
-            ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
-            entries = [estimate_q(ens)]
-            for i in range(len(ns_tr.times) - 1):
-                dtc = ns_tr.times[i + 1] - ns_tr.times[i]
-                u_mid = _average_velocity(*euler_tr.velocity[i:i + 2])
-                unu_mid = _average_velocity(*ns_tr.velocity[i:i + 2])
-                ens = advance_coupling(ens, u_mid, unu_mid, nu, dtc)
-                entries.append(estimate_q(ens))
-            series = QSeries(entries=entries)
+            series = _coupling_series(omega0, euler_tr, ns_tr, cfg.n_particles,
+                                      rng_seed=cfg.seed * 1000 + leg)
             q_series[nu] = series
-            if len(entries) >= 10:
+            if len(series.entries) >= 10:
                 lemma1_fits[nu] = check_lemma1(series, nu).c_fit
 
             for t in eval_times:
-                diff, err_hm1 = _hm1_error(ns_tr, euler_tr, t)
+                diff, err_hm1 = _hm1_error(ns_tr.full_at(t), euler_tr.full_at(t))
                 # cross-check: the same error through Biot-Savart quadrature
                 du = biot_savart(diff)
                 err_l2_vel = math.sqrt(
@@ -404,6 +397,24 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
+def _coupling_series(omega0: ScalarField2D, euler_tr: SplitTrajectory, ns_tr: SplitTrajectory,
+                     n_particles: int, rng_seed: int) -> QSeries:
+    """Q along the snapshot grid, the particles advanced by the velocities
+    averaged between consecutive snapshots."""
+    nu = ns_tr.config.nu
+    ens = init_coupling(omega0, n_particles, rng_seed=rng_seed)
+    entries = [estimate_q(ens)]
+    # the averaged inviscid and viscous velocities, rewritten at every step
+    mid = np.empty((2, 2) + ns_tr.plus[0].values.shape)
+    for i in range(len(ns_tr.times) - 1):
+        dtc = ns_tr.times[i + 1] - ns_tr.times[i]
+        u_mid = _average_velocity(*euler_tr.velocity[i:i + 2], out=mid[0])
+        unu_mid = _average_velocity(*ns_tr.velocity[i:i + 2], out=mid[1])
+        ens = advance_coupling(ens, u_mid, unu_mid, nu, dtc)
+        entries.append(estimate_q(ens))
+    return QSeries(entries=entries)
+
+
 def _part_measures(tr: SplitTrajectory, t: float, max_support: int) -> list:
     """Measures of the (clipped) positive and negative parts of a split run at time t."""
     return [field_to_measure(_clip_nonneg(f), max_support=max_support) for f in tr.state_at(t)]
@@ -429,8 +440,12 @@ def _equalize_mass(mu, nu_m):
     return mu
 
 
-def _average_velocity(a: VectorField2D, b: VectorField2D) -> VectorField2D:
-    return VectorField2D(a.grid, 0.5 * (a.u1 + b.u1), 0.5 * (a.u2 + b.u2))
+def _average_velocity(a: VectorField2D, b: VectorField2D, out: np.ndarray) -> VectorField2D:
+    """0.5 * (a + b), written into ``out`` of shape (2, n, n). The field is a
+    view of ``out`` and holds its values until ``out`` is next written."""
+    for a_c, b_c, o in zip((a.u1, a.u2), (b.u1, b.u2), out):
+        np.multiply(0.5, np.add(a_c, b_c, out=o), out=o)
+    return VectorField2D(a.grid, out[0], out[1])
 
 
 def _check_chain(row: RateRow, norms0, violations, series) -> None:
@@ -460,12 +475,11 @@ def _resolution_check(cfg: ExperimentConfig, euler_tr: SplitTrajectory, rows) ->
     fine = Grid2D(cfg.n * 2, cfg.length)
     split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
     scfg = euler_tr.config
-    # only the last snapshot is read, and each one is 4x the coarse size
-    last_only = replace(scfg, record_every=round(scfg.t_end / scfg.dt))
-    fine_tr = run_split(split_f.plus, split_f.minus, last_only)
+    # only the full field after the last step is transformed and kept
+    (fine_end,) = full_fields(split_f.plus, split_f.minus, scfg, [round(scfg.t_end / scfg.dt)])
     wc = euler_tr.full_at(scfg.t_end)
     # restrict the fine solution to the coarse grid
-    diff = wc.values - fine_tr.full_at(scfg.t_end).values[::2, ::2]
+    diff = wc.values - fine_end.values[::2, ::2]
     disc_err = hm1_norm(ScalarField2D(wc.grid, diff - diff.mean()))
     smallest = min((r.err_l2_velocity for r in rows), default=math.inf)
     return "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vvlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from vvlab.cli import EXIT_CONFIG, EXIT_LEG_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from vvlab.harness import summary_schema
 from vvlab.io import write_csv
 
@@ -152,6 +152,60 @@ class TestRunVerb:
         p.write_text("- 1\n- 2\n")
         assert main(["run", "--config", str(p), *extra]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("text,override", [
+        ("grid: [1, 2\n", []),  # the file is not YAML
+        (None, ["--grid.n", "[64"]),  # an override is not YAML
+    ])
+    def test_unparsable_config_is_config_error(self, text, override, tiny_config, capsys):
+        if text is not None:
+            tiny_config.write_text(text)
+        assert main(["run", "--config", str(tiny_config), *override]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_key_error_inside_a_run_is_raised(self, tiny_config, monkeypatch):
+        import vvlab.cli as cli_mod
+
+        def broken(cfg):
+            raise KeyError("a programming error")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", broken)
+        with pytest.raises(KeyError, match="a programming error"):
+            main(["run", "--config", str(tiny_config)])
+
+    def test_failed_leg_exits_3_and_leaves_the_other_legs(self, tiny_config, tmp_path,
+                                                          monkeypatch, capsys):
+        import vvlab.harness as harness_mod
+        from vvlab.evolve import SolverError
+
+        assert main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "a")]) \
+            == EXIT_OK
+        real, failing = harness_mod.run_split, 9.5e-3
+
+        def run_split(plus, minus, scfg):
+            if scfg.nu == failing:
+                raise SolverError("injected blow-up")
+            return real(plus, minus, scfg)
+
+        monkeypatch.setattr(harness_mod, "run_split", run_split)
+        code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "b")])
+        assert code == EXIT_LEG_ERROR
+        assert "injected blow-up" in capsys.readouterr().err
+
+        def report(name):
+            outdir = tmp_path / name / "cli-tiny-seed0"
+            rows = (outdir / "rate_series.csv").read_text().splitlines()
+            return rows, json.loads((outdir / "summary.json").read_text())
+
+        (rows_a, summary_a), (rows_b, summary_b) = report("a"), report("b")
+        assert rows_b == [r for r in rows_a if not r.startswith(f"{failing},")]
+        assert len(rows_b) == len(rows_a) - 1
+        assert summary_b["leg_errors"] == [[failing, "SolverError: injected blow-up"]]
+        assert summary_a["leg_errors"] == []
+        for nu in (3e-2, 1.7e-2, 5.3e-3):
+            q_csv = f"q_nu_{nu:.6g}.csv"
+            assert (tmp_path / "b" / "cli-tiny-seed0" / q_csv).read_bytes() \
+                == (tmp_path / "a" / "cli-tiny-seed0" / q_csv).read_bytes()
+
 
 class TestFitVerb:
     def test_fit_recovers_exponent(self, tmp_path, capsys):
@@ -170,6 +224,22 @@ class TestFitVerb:
         csv_path = tmp_path / "rates.csv"
         write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
         assert main(["fit", str(csv_path), "--time", "9.9"]) == EXIT_CONFIG
+
+    def test_fit_unknown_column_names_the_columns(self, tmp_path, capsys):
+        csv_path = tmp_path / "rates.csv"
+        write_csv(csv_path, ["nu", "t", "err_l2_velocity"], [(1e-3, 0.1, 0.5)])
+        assert main(["fit", str(csv_path), "--column", "w9"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no column ['w9']" in err
+        assert "['nu', 't', 'err_l2_velocity']" in err
+
+    @pytest.mark.parametrize("text", [None, "nu,t,err_l2_velocity\n1e-3,0.1,abc\n"])
+    def test_unreadable_csv_is_config_error(self, text, tmp_path, capsys):
+        csv_path = tmp_path / "rates.csv"
+        if text is not None:
+            csv_path.write_text(text)
+        assert main(["fit", str(csv_path)]) == EXIT_CONFIG
+        assert f"cannot read {csv_path}" in capsys.readouterr().err
 
     def test_fit_too_few_rows_is_config_error(self, tmp_path, capsys):
         rows = [(1e-3, 0.1, 0.5), (1e-4, 0.1, 0.2), (1e-5, 0.1, 0.1)]

@@ -269,3 +269,38 @@ class TestLemma1:
         assert not lemma1_ladder_stable([1.0, 2.5])
         assert lemma1_ladder_stable([0.0, 0.0])
         assert not lemma1_ladder_stable([0.0, 1.0])
+
+
+class TestAllocationFree:
+    """After a warm-up, a step allocates only its new positions and an estimate
+    nothing of the particle count."""
+
+    @staticmethod
+    def traced_peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - before, result
+
+    def test_step_and_estimate(self):
+        from vvlab.fields import biot_savart
+
+        w0 = patch_data()
+        u = biot_savart(w0)
+        ens = init_coupling(w0, 20000, rng_seed=2)
+        ens = advance_coupling(ens, u, u, nu=1e-3, dt=1e-3)
+        estimate_q(ens)
+        peak, new = self.traced_peak(lambda: advance_coupling(ens, u, u, nu=1e-3, dt=1e-3))
+        positions = new.x.nbytes + new.y.nbytes
+        # a bound far below one array of the particle count (160,000 bytes)
+        small = 8192
+        assert peak <= positions + small, f"{peak} bytes beyond the {positions} of positions"
+        peak, est = self.traced_peak(lambda: estimate_q(new))
+        assert est.q > 0
+        assert peak <= small, f"{peak} bytes"

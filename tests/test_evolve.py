@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -402,3 +403,74 @@ def test_kernel_multipliers_vanish_past_kept_columns(n):
         assert op[:, c - 1].any(), name
         # the 2/3 rule also zeroes the Nyquist row, where an odd derivative has no real inverse
         assert not op[n // 2].any(), name
+
+
+def plain_step(kernel, w):
+    """One IFRK4 step with the kernel's operators, written as plain expressions:
+    every product, sum and transform pass allocates its result. The kernel
+    computes the same operations in the same order into its work arrays."""
+    c, n = kernel.c, kernel.n
+
+    def rhs(w):
+        adv = w[0] - w[1]
+        spectra = np.concatenate([kernel.ik1 * w, kernel.ik2 * w,
+                                  [kernel.bs1 * adv], [kernel.bs2 * adv]])
+        spectra[..., :c] = np.fft.ifft(spectra[..., :c], axis=-2)
+        phys = np.fft.irfft(spectra, n, axis=-1)
+        u1, u2 = phys[4], phys[5]
+        spec = np.fft.rfft(u1 * phys[:2] + u2 * phys[2:4], axis=-1)
+        spec[..., :c] = kernel.out[:, :c] * np.fft.fft(spec[..., :c], axis=-2)
+        spec[..., c:] = 0.0
+        return spec
+
+    e_half, e_full = kernel.e_half, kernel.e_full
+    k1 = rhs(w)
+    k2 = rhs(e_half * (w + 0.5 * k1))
+    k3 = rhs(e_half * w + 0.5 * k2)
+    k4 = rhs(e_full * w + e_half * k3)
+    return e_full * w + (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4) / 6.0
+
+
+def patch_kernel(n, nu):
+    """A kernel on the n x n patch pair and its initial half spectra."""
+    grid = Grid2D(n, 1.0)
+    sp = split_signed(make_initial_data("patch_pair", grid, radius=0.15, separation=0.4))
+    kernel = evolve._Kernel(grid, SolverConfig(nu=nu, dt=2e-3, t_end=1.0))
+    return kernel, evolve.rfft2(np.stack([sp.plus.values, sp.minus.values]))
+
+
+def traced_peak(fn):
+    """(bytes ``fn()`` allocated at its peak beyond what was live before, its result)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - before, result
+
+
+class TestAllocationFreeStep:
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("nu", [0.0, 2e-3])
+    def test_step_equals_plain_expressions(self, n, nu):
+        kernel, w = patch_kernel(n, nu)
+        w0, ref = w.copy(), w.copy()
+        for _ in range(5):
+            ref = plain_step(kernel, ref)
+            assert kernel.step(w) is w  # advanced in place
+        assert _rel_err(w, w0) > 1e-4
+        assert w.tobytes() == ref.tobytes()
+
+    # not n = 32: there numpy's ufunc iterator buffers operands as small as a
+    # spectrum stack (about 18 kB a call), which no work array can avoid
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_step_allocates_no_array(self, n):
+        kernel, w = patch_kernel(n, 1e-3)
+        kernel.step(w)  # warm-up: numpy and the FFT plans cache on first use
+        peak, result = traced_peak(lambda: kernel.step(w))
+        assert result is w
+        # a few Python objects and numpy scalars, against 133 kB in one
+        # spectrum at n = 128
+        assert peak <= 4096, f"{peak} bytes"

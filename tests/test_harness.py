@@ -393,22 +393,34 @@ class TestHm1Sweep:
         assert errs == {0.05: [r.err_l2_velocity for r in patch_series.rows]}
 
     def test_snapshots_at_gcd_of_step_counts(self, monkeypatch):
-        import vvlab.harness as harness_mod
+        from vvlab import evolve
         from vvlab.fields import Grid2D
         from vvlab.initial_data import make_initial_data
 
-        real = harness_mod.run_split
-        configs = []
+        kernels = []
 
-        def recording(plus, minus, scfg):
-            configs.append(scfg)
-            return real(plus, minus, scfg)
+        class Recording(evolve._Kernel):
+            def __init__(self, grid, cfg):
+                super().__init__(grid, cfg)
+                self.cfg, self.calls = cfg, []
+                kernels.append(self)
 
-        monkeypatch.setattr(harness_mod, "run_split", recording)
+            def snapshot(self, w, members=True):
+                self.calls.append("snapshot")
+                return super().snapshot(w, members)
+
+            def parts(self, w):
+                self.calls.append("parts")
+                return super().parts(w)
+
+        monkeypatch.setattr(evolve, "_Kernel", Recording)
         omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
         errs = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
-        assert [c.nu for c in configs] == [0.0, 2e-2, 1e-2]
-        assert {c.record_every for c in configs} == {2}  # gcd(4, 6)
+        assert [k.cfg.nu for k in kernels] == [0.0, 2e-2, 1e-2]
+        assert {k.cfg.record_every for k in kernels} == {2}  # gcd(4, 6)
+        # of the snapshots at steps 2, 4 and 6, only the two sweep times are
+        # transformed, and without their velocity
+        assert all(k.calls == ["parts", "parts"] for k in kernels)
         assert all(len(e) == 2 and all(x > 0 for x in e) for e in errs.values())
 
     def test_time_off_the_step_grid_rejected(self):
