@@ -11,7 +11,6 @@ from vvlab.fields import (
     ScalarField2D,
     VectorField2D,
     NormReport,
-    biot_savart,
     norms,
     hm1_norm,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "ScalarField2D",
     "VectorField2D",
     "NormReport",
-    "biot_savart",
     "norms",
     "hm1_norm",
     "make_initial_data",

@@ -256,14 +256,13 @@ def moving_average(y: np.ndarray, window: int) -> np.ndarray:
 class Lemma1Report:
     c_fit: float
     ratios: np.ndarray
-    window: int
     conclusive: bool
 
 
-def check_lemma1(series: QSeries, nu: float, window: int = 5) -> Lemma1Report:
+def check_lemma1(series: QSeries, nu: float) -> Lemma1Report:
     """Fit the constant in dQ/dt <= C [Q (1 + log(1 + 1/Q)) + nu].
 
-    Smooths Q with a centered moving average, takes centered finite
+    Smooths Q with a 5-point centered moving average, takes centered finite
     differences, and reports the largest positive ratio of dQ/dt to the
     envelope value. A flat or decreasing series reports 0. Marked
     inconclusive when the smoothed series is still dominated by noise.
@@ -272,7 +271,7 @@ def check_lemma1(series: QSeries, nu: float, window: int = 5) -> Lemma1Report:
     q = series.q
     if len(t) < 10:
         raise ValueError("need at least 10 entries to fit the inequality constant")
-    qs = moving_average(q, window)
+    qs = moving_average(q, 5)
     dq = np.gradient(qs, t)
     from vvlab.envelope import rhs as envelope_rhs
 
@@ -286,12 +285,12 @@ def check_lemma1(series: QSeries, nu: float, window: int = 5) -> Lemma1Report:
     inc = np.diff(qs)
     frac_up = float((inc > 0).mean()) if len(inc) else 0.0
     conclusive = scale > 0 and noise < 0.5 * scale and frac_up >= 0.7
-    return Lemma1Report(c_fit=c_fit, ratios=ratios, window=window, conclusive=conclusive)
+    return Lemma1Report(c_fit=c_fit, ratios=ratios, conclusive=conclusive)
 
 
-def lemma1_ladder_stable(c_fits, factor: float = 2.0) -> bool:
-    """True when the fitted constants across a nu-ladder agree within x``factor``."""
+def lemma1_ladder_stable(c_fits) -> bool:
+    """True when the fitted constants across a nu-ladder agree within a factor of 2."""
     c = np.asarray(list(c_fits), float)
     if np.any(c <= 0):
         return bool(np.all(c == 0))
-    return bool(c.max() / c.min() < factor)
+    return bool(c.max() / c.min() < 2.0)

@@ -65,15 +65,11 @@ class EnvelopeCurve:
     values: np.ndarray
 
 
-def integrate_envelope(
-    p: OsgoodParams, t_end: float, dt: float, with_nu_t_floor: bool = False
-) -> EnvelopeCurve:
+def integrate_envelope(p: OsgoodParams, t_end: float, dt: float) -> EnvelopeCurve:
     """Integrate the envelope ODE with adaptive RK, sampled every ``dt``.
 
     By the comparison principle the result upper-bounds any series satisfying
-    the differential inequality with constant <= C. ``with_nu_t_floor`` adds
-    nu*t to the output, the substituted variable that satisfies the same
-    inequality and dominates the floor Q >= nu t.
+    the differential inequality with constant <= C.
     """
     from scipy.integrate import solve_ivp
 
@@ -91,10 +87,7 @@ def integrate_envelope(
     )
     if not sol.success:
         raise RuntimeError(f"envelope integration failed: {sol.message}")
-    vals = sol.y[0]
-    if with_nu_t_floor:
-        vals = vals + p.nu * sol.t
-    return EnvelopeCurve(times=sol.t, values=vals)
+    return EnvelopeCurve(times=sol.t, values=sol.y[0])
 
 
 @dataclass(frozen=True)

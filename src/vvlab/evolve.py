@@ -22,6 +22,10 @@ sum and transform writes with ``out=`` into work arrays built with the kernel,
 in the operations and order of the plain RK4 expressions, so the bits are
 theirs. A snapshot inverts both parts and their undealiased velocity in one
 transform.
+
+:func:`snapshots` is the one driver: a generator that yields each snapshot as
+it is reached, in a fresh array, so a caller keeps only what it needs.
+:func:`run_split` keeps them all.
 """
 
 from __future__ import annotations
@@ -149,12 +153,6 @@ class _Kernel:
         np.multiply(self.vel2, adv, out=buf[s + 1])
         return self._inverse(buf)
 
-    def parts(self, w: np.ndarray) -> np.ndarray:
-        """Physical values of both parts, without the velocity."""
-        buf = self.buf[:2]
-        buf[:] = w
-        return self._inverse(buf)
-
     def _inverse(self, buf: np.ndarray, dest: np.ndarray | None = None,
                  cols: int | None = None) -> np.ndarray:
         """``irfft2`` of the scratch spectra ``buf`` (into ``dest`` if given), its
@@ -197,25 +195,28 @@ def _steps_for(cfg: SolverConfig) -> int:
     return n_steps
 
 
-def _integrate(kernel: _Kernel, w: np.ndarray, cfg: SolverConfig):
-    """Advance the spectra ``w`` in place to t_end; yields (step, spectra) every
-    ``record_every`` steps and after the last one."""
+def snapshots(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig):
+    """Evolve the signed parts as passive scalars in their own induced flow.
+
+    Yields (step, values) at step 0, every ``record_every`` steps and after the
+    last one. ``values`` is a fresh (4, n, n) array: the plus and minus parts,
+    then the velocity (u1, u2) of their difference. Step 0 holds the given parts.
+    """
+    grid = omega0_plus.grid
+    full0 = ScalarField2D(grid, omega0_plus.values - omega0_minus.values)
+    require_mean_zero(full0, "time stepping")
     n_steps = _steps_for(cfg)
+    kernel = _Kernel(grid, cfg)
+    parts = np.stack([omega0_plus.values, omega0_minus.values])
+    w = rfft2(parts)
+    yield 0, np.concatenate([parts, kernel.snapshot(w, members=False)])
     for s in range(1, n_steps + 1):
         try:
             kernel.step(w)
         except SolverError as e:
             raise SolverError(f"step {s} (t={s * cfg.dt:.4g}): {e}") from e
         if s % cfg.record_every == 0 or s == n_steps:
-            yield s, w
-
-
-def _start(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig):
-    """The kernel of a split run and the initial half spectra of both parts."""
-    grid = omega0_plus.grid
-    full0 = ScalarField2D(grid, omega0_plus.values - omega0_minus.values)
-    require_mean_zero(full0, "time stepping")
-    return _Kernel(grid, cfg), rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
+            yield s, kernel.snapshot(w)
 
 
 @dataclass
@@ -245,37 +246,17 @@ class SplitTrajectory:
 def run_split(
     omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig
 ) -> SplitTrajectory:
-    """Evolve the signed parts as passive scalars in their own induced flow."""
+    """Every snapshot of :func:`snapshots`, kept as fields; the t = 0 parts are
+    the given field objects."""
     grid = omega0_plus.grid
-    kernel, w = _start(omega0_plus, omega0_minus, cfg)
-    tr = SplitTrajectory(
-        times=[0.0],
-        plus=[omega0_plus],
-        minus=[omega0_minus],
-        velocity=[VectorField2D(grid, *kernel.snapshot(w, members=False))],
-        config=cfg,
-    )
-    for s, w in _integrate(kernel, w, cfg):
-        values = kernel.snapshot(w)
+    tr = SplitTrajectory(times=[], plus=[], minus=[], velocity=[], config=cfg)
+    for s, values in snapshots(omega0_plus, omega0_minus, cfg):
         tr.times.append(s * cfg.dt)
         tr.plus.append(ScalarField2D(grid, values[0]))
         tr.minus.append(ScalarField2D(grid, values[1]))
         tr.velocity.append(VectorField2D(grid, values[2], values[3]))
+    tr.plus[0], tr.minus[0] = omega0_plus, omega0_minus
     return tr
-
-
-def full_fields(
-    omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig, steps
-) -> list[ScalarField2D]:
-    """The full field plus - minus of :func:`run_split`'s run after each of
-    ``steps`` (snapshot steps), transforming and keeping nothing else."""
-    kernel, w = _start(omega0_plus, omega0_minus, cfg)
-    wanted = {}
-    for s, w in _integrate(kernel, w, cfg):
-        if s in steps:
-            values = kernel.parts(w)
-            wanted[s] = ScalarField2D(omega0_plus.grid, values[0] - values[1])
-    return [wanted[s] for s in steps]
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,8 @@ from vvlab.coupling import (
     init_coupling,
     lemma1_ladder_stable,
 )
-from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, full_fields, run_split
-from vvlab.fields import (
-    FieldError, Grid2D, ScalarField2D, VectorField2D, biot_savart, hm1_norm, norms,
-)
+from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split, snapshots
+from vvlab.fields import FieldError, Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
 from vvlab.transport import TransportError, distance, field_to_measure, split_signed
@@ -278,31 +276,33 @@ def _resolve_eval_times(cfg: ExperimentConfig):
     return times
 
 
-def _hm1_error(a: ScalarField2D, b: ScalarField2D):
-    """The difference of two vorticity fields and its H^-1 norm (the velocity L2 error)."""
-    diff = ScalarField2D(a.grid, a.values - b.values)
-    return diff, hm1_norm(diff)
+def _hm1_error(grid: Grid2D, a, b) -> float:
+    """The H^-1 norm of the difference of the full fields a[0] - a[1] and
+    b[0] - b[1] of two snapshots (the velocity L2 error)."""
+    return hm1_norm(ScalarField2D(grid, (a[0] - a[1]) - (b[0] - b[1])))
 
 
 def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> dict:
     """Velocity L2 errors of a viscosity ladder against Euler: {t: [error per nu]}.
 
     H^-1 only, no transport or coupling: one inviscid run and one run per
-    viscosity, each keeping only its full fields at ``times``, reached with a
+    viscosity, each keeping only its snapshots at ``times``, reached with a
     snapshot every gcd of the times' step counts.
     """
     steps = [_steps(t, dt, f"time step {dt}") for t in times]
     split0 = split_signed(omega0)
 
-    def fields_at_times(nu: float) -> list:
+    def at_times(nu: float) -> list:
         scfg = SolverConfig(nu=nu, dt=dt, t_end=max(times), record_every=math.gcd(*steps))
-        return full_fields(split0.plus, split0.minus, scfg, steps)
+        kept = {s: values for s, values in snapshots(split0.plus, split0.minus, scfg)
+                if s in steps}
+        return [kept[s] for s in steps]
 
-    euler = fields_at_times(0.0)
+    euler = at_times(0.0)
     errs = {t: [] for t in times}
     for nu in nus:
-        for t, full, ref in zip(times, fields_at_times(float(nu)), euler):
-            errs[t].append(_hm1_error(full, ref)[1])
+        for t, values, ref in zip(times, at_times(float(nu)), euler):
+            errs[t].append(_hm1_error(omega0.grid, values, ref))
     return errs
 
 
@@ -320,56 +320,74 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
     euler_tr = run_split(split0.plus, split0.minus, scfg_euler)
 
+    # the solver step of each evaluation time, and the inviscid snapshot there
+    # as (plus, minus, u1, u2), with its parts' measures shared across the ladder
+    steps = {t: round(t / cfg.dt) for t in eval_times}
+    euler_at = {}
+    for t, s in steps.items():
+        i = s // cfg.record_every
+        u = euler_tr.velocity[i]
+        euler_at[t] = (euler_tr.plus[i].values, euler_tr.minus[i].values, u.u1, u.u2)
+    euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
+    method, eps = cfg.transport_method, cfg.transport_epsilon
+
+    def evaluate_leg(leg: int, nu: float):
+        """Stream one viscous leg once, then its rows, invariant violations,
+        Q series and lemma 1 fit (None for a series too short to fit). Its
+        snapshots go with its frame, before the next leg streams."""
+        # the initial ensemble is passed on, not held here while the leg streams
+        series, kept = _stream_leg(
+            init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg),
+            euler_tr, split0, replace(scfg_euler, nu=nu), set(steps.values()),
+        )
+        c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
+        leg_rows, violations = [], []
+        for t in eval_times:
+            values, ref = kept[steps[t]], euler_at[t]
+            err_hm1 = _hm1_error(grid, values, ref)
+            # cross-check: the same error as the L2 norm of the difference of
+            # the two snapshot velocities
+            du = values[2:] - ref[2:]
+            err_l2_vel = math.sqrt(grid.spacing ** 2 * float((du * du).sum()))
+            if abs(err_l2_vel - err_hm1) > 1e-8 * max(err_hm1, 1.0):
+                violations.append(
+                    f"nu={nu} t={t}: |u-velocity L2 - vorticity H^-1| = "
+                    f"{abs(err_l2_vel - err_hm1):.3e}"
+                )
+
+            # split route: each signed part against its inviscid twin
+            w1_sum = w2_sum = 0.0
+            for part, twin in zip(_part_measures(grid, values, cfg.max_support),
+                                  euler_measures[t]):
+                part = _equalize_mass(part, twin)
+                w2_sum += distance(part, twin, 2, method, eps)
+                w1_sum += distance(part, twin, 1, method, eps)
+            q_at_t = float(np.interp(t, series.times, series.q))
+            leg_rows.append(RateRow(
+                nu=nu, t=t, err_l2_velocity=err_hm1, w1_vorticity=w1_sum,
+                w2_split_sum=w2_sum, q_estimate=q_at_t,
+            ))
+            _check_chain(leg_rows[-1], norms0, violations, series)
+        return leg_rows, violations, series, c_fit
+
     rows: list[RateRow] = []
     q_series: dict[float, QSeries] = {}
     lemma1_fits: dict[float, float] = {}
     invariant_violations: list[str] = []
     leg_errors: list = []
-
-    # measures of the inviscid parts at eval times, shared across the ladder
-    euler_measures = {t: _part_measures(euler_tr, t, cfg.max_support) for t in eval_times}
-    method, eps = cfg.transport_method, cfg.transport_epsilon
-
     for leg, nu in enumerate(cfg.nu_ladder):
+        # a failed leg contributes nothing: its results are kept only once it ends
         try:
-            ns_tr = run_split(split0.plus, split0.minus, replace(scfg_euler, nu=nu))
-            series = _coupling_series(omega0, euler_tr, ns_tr, cfg.n_particles,
-                                      rng_seed=cfg.seed * 1000 + leg)
-            q_series[nu] = series
-            if len(series.entries) >= 10:
-                lemma1_fits[nu] = check_lemma1(series, nu).c_fit
-
-            for t in eval_times:
-                diff, err_hm1 = _hm1_error(ns_tr.full_at(t), euler_tr.full_at(t))
-                # cross-check: the same error through Biot-Savart quadrature
-                du = biot_savart(diff)
-                err_l2_vel = math.sqrt(
-                    grid.spacing ** 2 * float((du.u1 ** 2 + du.u2 ** 2).sum())
-                )
-                if abs(err_l2_vel - err_hm1) > 1e-8 * max(err_hm1, 1.0):
-                    invariant_violations.append(
-                        f"nu={nu} t={t}: |u-velocity L2 - vorticity H^-1| = "
-                        f"{abs(err_l2_vel - err_hm1):.3e}"
-                    )
-
-                # split route: each signed part against its inviscid twin
-                w1_sum = w2_sum = 0.0
-                parts = _part_measures(ns_tr, t, cfg.max_support)
-                for part, twin in zip(parts, euler_measures[t]):
-                    part = _equalize_mass(part, twin)
-                    w2_sum += distance(part, twin, 2, method, eps)
-                    w1_sum += distance(part, twin, 1, method, eps)
-                q_at_t = float(np.interp(t, series.times, series.q))
-                rows.append(RateRow(
-                    nu=nu, t=t, err_l2_velocity=err_hm1, w1_vorticity=w1_sum,
-                    w2_split_sum=w2_sum, q_estimate=q_at_t,
-                ))
-                _check_chain(rows[-1], norms0, invariant_violations, series)
-            # drop this leg's snapshots and velocities before the next leg integrates
-            del ns_tr
+            leg_rows, violations, series, c_fit = evaluate_leg(leg, nu)
         # a numerical failure stays in its leg; a programming error fails the run
         except (SolverError, TransportError, CouplingError, FieldError) as e:
             leg_errors.append((nu, f"{type(e).__name__}: {e}"))
+            continue
+        rows += leg_rows
+        invariant_violations += violations
+        q_series[nu] = series
+        if c_fit is not None:
+            lemma1_fits[nu] = c_fit
 
     fits = {}
     for t in eval_times:
@@ -397,27 +415,33 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _coupling_series(omega0: ScalarField2D, euler_tr: SplitTrajectory, ns_tr: SplitTrajectory,
-                     n_particles: int, rng_seed: int) -> QSeries:
-    """Q along the snapshot grid, the particles advanced by the velocities
-    averaged between consecutive snapshots."""
-    nu = ns_tr.config.nu
-    ens = init_coupling(omega0, n_particles, rng_seed=rng_seed)
+def _stream_leg(ens, euler_tr: SplitTrajectory, split0, scfg: SolverConfig, keep) -> tuple:
+    """Stream one viscous run from the initial parts ``split0``. The coupling
+    ``ens`` advances on the velocities averaged between consecutive snapshots,
+    the inviscid ones from ``euler_tr``. Returns the Q series and the snapshot
+    values at the steps in ``keep``, by step."""
     entries = [estimate_q(ens)]
+    kept = {}
     # the averaged inviscid and viscous velocities, rewritten at every step
-    mid = np.empty((2, 2) + ns_tr.plus[0].values.shape)
-    for i in range(len(ns_tr.times) - 1):
-        dtc = ns_tr.times[i + 1] - ns_tr.times[i]
-        u_mid = _average_velocity(*euler_tr.velocity[i:i + 2], out=mid[0])
-        unu_mid = _average_velocity(*ns_tr.velocity[i:i + 2], out=mid[1])
-        ens = advance_coupling(ens, u_mid, unu_mid, nu, dtc)
-        entries.append(estimate_q(ens))
-    return QSeries(entries=entries)
+    mid = np.empty((2, 2) + split0.plus.values.shape)
+    grid = split0.plus.grid
+    for i, (s, values) in enumerate(snapshots(split0.plus, split0.minus, scfg)):
+        t, u_nu = s * scfg.dt, VectorField2D(grid, values[2], values[3])
+        if i:
+            u_mid = _average_velocity(*euler_tr.velocity[i - 1:i + 1], out=mid[0])
+            unu_mid = _average_velocity(u_prev, u_nu, out=mid[1])
+            ens = advance_coupling(ens, u_mid, unu_mid, scfg.nu, t - t_prev)
+            entries.append(estimate_q(ens))
+        if s in keep:
+            kept[s] = values
+        t_prev, u_prev = t, u_nu
+    return QSeries(entries=entries), kept
 
 
-def _part_measures(tr: SplitTrajectory, t: float, max_support: int) -> list:
-    """Measures of the (clipped) positive and negative parts of a split run at time t."""
-    return [field_to_measure(_clip_nonneg(f), max_support=max_support) for f in tr.state_at(t)]
+def _part_measures(grid: Grid2D, values, max_support: int) -> list:
+    """Measures of the (clipped) positive and negative parts values[0], values[1] of a snapshot."""
+    return [field_to_measure(_clip_nonneg(ScalarField2D(grid, v)), max_support=max_support)
+            for v in values[:2]]
 
 
 def _clip_nonneg(f: ScalarField2D) -> ScalarField2D:
@@ -475,11 +499,13 @@ def _resolution_check(cfg: ExperimentConfig, euler_tr: SplitTrajectory, rows) ->
     fine = Grid2D(cfg.n * 2, cfg.length)
     split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
     scfg = euler_tr.config
-    # only the full field after the last step is transformed and kept
-    (fine_end,) = full_fields(split_f.plus, split_f.minus, scfg, [round(scfg.t_end / scfg.dt)])
+    # one snapshot every t_end / dt steps: only the end state is transformed
+    for _, fine_end in snapshots(split_f.plus, split_f.minus,
+                                 replace(scfg, record_every=round(scfg.t_end / scfg.dt))):
+        pass
     wc = euler_tr.full_at(scfg.t_end)
     # restrict the fine solution to the coarse grid
-    diff = wc.values - fine_end.values[::2, ::2]
+    diff = wc.values - (fine_end[0] - fine_end[1])[::2, ::2]
     disc_err = hm1_norm(ScalarField2D(wc.grid, diff - diff.mean()))
     smallest = min((r.err_l2_velocity for r in rows), default=math.inf)
     return "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"

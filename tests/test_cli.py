@@ -108,7 +108,9 @@ class TestRunVerb:
         def no_integration(*args):
             raise AssertionError("integration started on an invalid config")
 
+        # the Euler reference and every leg
         monkeypatch.setattr(harness_mod, "run_split", no_integration)
+        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
 
@@ -141,7 +143,9 @@ class TestRunVerb:
         def no_integration(*args):
             raise AssertionError("integration started on invalid initial data")
 
+        # the Euler reference and every leg
         monkeypatch.setattr(harness_mod, "run_split", no_integration)
+        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
@@ -174,37 +178,55 @@ class TestRunVerb:
 
     def test_failed_leg_exits_3_and_leaves_the_other_legs(self, tiny_config, tmp_path,
                                                           monkeypatch, capsys):
+        self.check_failed_leg(0, tiny_config, tmp_path, monkeypatch, capsys)
+
+    def test_leg_failing_after_an_evaluation_time_leaves_nothing(self, tiny_config, tmp_path,
+                                                                 monkeypatch, capsys):
+        # the leg has passed its first evaluation step (4) when it fails at step 6
+        self.check_failed_leg(6, tiny_config, tmp_path, monkeypatch, capsys)
+
+    def check_failed_leg(self, fail_at, tiny_config, tmp_path, monkeypatch, capsys):
+        """A run whose leg ``failing`` raises a SolverError in its stream just
+        before the snapshot at step ``fail_at``, against a clean run."""
         import vvlab.harness as harness_mod
         from vvlab.evolve import SolverError
 
-        assert main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "a")]) \
-            == EXIT_OK
-        real, failing = harness_mod.run_split, 9.5e-3
+        # two evaluation times (steps 4 and 10) and a Q series long enough for lemma 1
+        override = ["--times", "[0.02, 0.05]", "--solver.record_every", "1"]
+        failing, real = 9.5e-3, harness_mod.snapshots
 
-        def run_split(plus, minus, scfg):
-            if scfg.nu == failing:
-                raise SolverError("injected blow-up")
-            return real(plus, minus, scfg)
+        def snapshots(plus, minus, scfg):
+            for s, values in real(plus, minus, scfg):
+                if scfg.nu == failing and s == fail_at:
+                    raise SolverError("injected blow-up")
+                yield s, values
 
-        monkeypatch.setattr(harness_mod, "run_split", run_split)
-        code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "b")])
-        assert code == EXIT_LEG_ERROR
-        assert "injected blow-up" in capsys.readouterr().err
+        def run(name):
+            return main(["run", "--config", str(tiny_config), "--output", str(tmp_path / name),
+                         *override])
 
         def report(name):
             outdir = tmp_path / name / "cli-tiny-seed0"
             rows = (outdir / "rate_series.csv").read_text().splitlines()
-            return rows, json.loads((outdir / "summary.json").read_text())
+            q_files = {p.name: p.read_bytes() for p in outdir.glob("q_nu_*.csv")}
+            return rows, json.loads((outdir / "summary.json").read_text()), q_files
 
-        (rows_a, summary_a), (rows_b, summary_b) = report("a"), report("b")
+        assert run("a") == EXIT_OK
+        monkeypatch.setattr(harness_mod, "snapshots", snapshots)
+        assert run("b") == EXIT_LEG_ERROR
+        assert "injected blow-up" in capsys.readouterr().err
+
+        (rows_a, summary_a, q_a), (rows_b, summary_b, q_b) = report("a"), report("b")
+        # the failed leg leaves no row, Q file or lemma 1 fit; the others are unchanged
         assert rows_b == [r for r in rows_a if not r.startswith(f"{failing},")]
-        assert len(rows_b) == len(rows_a) - 1
+        assert len(rows_b) == len(rows_a) - 2
         assert summary_b["leg_errors"] == [[failing, "SolverError: injected blow-up"]]
         assert summary_a["leg_errors"] == []
-        for nu in (3e-2, 1.7e-2, 5.3e-3):
-            q_csv = f"q_nu_{nu:.6g}.csv"
-            assert (tmp_path / "b" / "cli-tiny-seed0" / q_csv).read_bytes() \
-                == (tmp_path / "a" / "cli-tiny-seed0" / q_csv).read_bytes()
+        assert len(summary_a["lemma1"]) == 4
+        assert summary_b["lemma1"] == {
+            nu: c for nu, c in summary_a["lemma1"].items() if float(nu) != failing}
+        assert q_b == {name: q for name, q in q_a.items() if name != f"q_nu_{failing:.6g}.csv"}
+        assert len(q_b) == 3
 
 
 class TestFitVerb:

@@ -81,20 +81,12 @@ class TestIntegration:
         curve = integrate_envelope(OsgoodParams(c=1.5, nu=1e-5), 2.0, 0.1)
         assert np.all(np.diff(curve.values) > 0)
 
-    def test_nu_t_floor_added(self):
-        p = OsgoodParams(c=1.0, nu=1e-3)
-        plain = integrate_envelope(p, 0.5, 0.05)
-        floored = integrate_envelope(p, 0.5, 0.05, with_nu_t_floor=True)
-        np.testing.assert_allclose(
-            floored.values, plain.values + p.nu * plain.times, rtol=1e-12
-        )
-
     def test_substituted_variable_satisfies_inequality(self):
         # q + nu t obeys d/dt (q + nu t) <= C' [(q + nu t)(1 + log(1 + 1/(q + nu t))) + nu]
         # with C' = C + 1; checked numerically along the envelope
         p = OsgoodParams(c=1.0, nu=1e-4)
-        curve = integrate_envelope(p, 1.0, 0.01, with_nu_t_floor=True)
-        v = curve.values
+        curve = integrate_envelope(p, 1.0, 0.01)
+        v = curve.values + p.nu * curve.times
         dv = np.gradient(v, curve.times)
         bound = np.array([rhs(max(x, 0.0), p.nu, p.c + 1.0) for x in v])
         assert np.all(dv[1:-1] <= bound[1:-1] * (1.0 + 1e-6) + 1e-12)

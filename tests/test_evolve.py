@@ -171,6 +171,19 @@ class TestSplitRun:
             # advection-diffusion of a nonnegative scalar conserves its integral
             assert p.grid.spacing ** 2 * p.values.sum() == pytest.approx(m0, rel=1e-10)
 
+    def test_snapshots_yield_fresh_arrays_at_the_snapshot_steps(self, grid32):
+        sp = split_signed(make_initial_data("patch_pair", grid32, radius=0.15, separation=0.4))
+        cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.014, record_every=3)
+        seen = list(evolve.snapshots(sp.plus, sp.minus, cfg))
+        assert [s for s, _ in seen] == [0, 3, 6, 7]  # and after the last step
+        assert all(v.shape == (4, 32, 32) for _, v in seen)
+        assert not any(np.shares_memory(a, b) for (_, a), (_, b) in zip(seen, seen[1:]))
+        assert np.array_equal(seen[0][1][:2], np.stack([sp.plus.values, sp.minus.values]))
+        tr = run_split(sp.plus, sp.minus, cfg)
+        for (s, v), t, p, m, u in zip(seen, tr.times, tr.plus, tr.minus, tr.velocity):
+            assert t == s * cfg.dt
+            assert np.array_equal(v, np.stack([p.values, m.values, u.u1, u.u2]))
+
     @pytest.mark.parametrize("datum", ["patch_pair", "full_spectrum"], ids=dealiased_id)
     def test_snapshot_velocity_is_biot_savart(self, datum):
         g = Grid2D(64, 1.0)

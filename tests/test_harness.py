@@ -254,6 +254,31 @@ class TestRunExperiment:
         assert "synthetic failure" in series.errors[0][1]
         assert {r.nu for r in series.rows} == set(cfg.nu_ladder) - {doomed}
 
+    def test_leg_failing_at_its_second_time_leaves_nothing(self, monkeypatch):
+        # a transport failure after the leg's first evaluation time drops that
+        # time's row, the Q series and the lemma 1 fit with it
+        import vvlab.harness as harness_mod
+        from vvlab.transport import TransportError
+
+        cfg = patch_config(times=[0.025, 0.05])
+        real, calls = harness_mod.distance, []
+        # 4 distances per (nu, t): the second leg's second time starts at call 12
+        doomed = cfg.nu_ladder[1]
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 13:
+                raise TransportError("synthetic failure")
+            return real(*args)
+
+        monkeypatch.setattr(harness_mod, "distance", flaky)
+        series = run_experiment(cfg)
+        assert series.errors == [(doomed, "TransportError: synthetic failure")]
+        assert {r.nu for r in series.rows} == set(cfg.nu_ladder) - {doomed}
+        assert len(series.rows) == 2 * (len(cfg.nu_ladder) - 1)
+        assert doomed not in series.q_series and doomed not in series.lemma1
+        assert len(series.lemma1) == len(cfg.nu_ladder) - 1
+
     def test_programming_error_in_leg_is_fatal(self, monkeypatch):
         # a bug is not a numerical failure: it must fail the run, not become a leg error
         import vvlab.harness as harness_mod
@@ -326,42 +351,74 @@ class TestRunExperiment:
         # no self-term is solved twice for the same measure and order
         assert len({(id(m), c) for m, c in selfs}) == len(selfs)
 
-    def test_biot_savart_only_for_the_cross_check(self, monkeypatch):
-        # snapshot velocities come from the stepper; Biot-Savart runs once per (nu, t)
+    def test_run_makes_no_biot_savart_call(self, monkeypatch):
+        # the velocities and the cross-check come from the stepper's snapshots,
+        # and only the Euler reference is kept as a whole trajectory
+        import vvlab.harness as harness_mod
+        from vvlab import fields
+
+        calls, real_run, runs = [], harness_mod.run_split, []
+
+        def counting_run(*args):
+            runs.append(args[2].nu)
+            return real_run(*args)
+
+        monkeypatch.setattr(fields, "biot_savart", calls.append)
+        monkeypatch.setattr(harness_mod, "run_split", counting_run)
+        cfg = patch_config(times=[0.025, 0.05])
+        series = run_experiment(cfg)
+        assert series.errors == [] and len(series.rows) == len(cfg.nu_ladder) * len(cfg.times)
+        assert calls == []
+        assert not hasattr(harness_mod, "biot_savart")
+        assert runs == [0.0]
+
+    def test_velocity_cross_check_is_live(self, monkeypatch):
+        # a perturbed snapshot velocity no longer matches the H^-1 error of the parts
         import vvlab.harness as harness_mod
 
-        real = harness_mod.biot_savart
-        calls = []
+        real = harness_mod.snapshots
+        cfg = patch_config(times=[0.025, 0.05])
+        perturbed = cfg.nu_ladder[2]
 
-        def counting(omega):
-            calls.append(omega)
-            return real(omega)
+        def perturbing(plus, minus, scfg):
+            for s, values in real(plus, minus, scfg):
+                if scfg.nu == perturbed and s == 5:
+                    values[2] += 1e-3
+                yield s, values
 
-        monkeypatch.setattr(harness_mod, "biot_savart", counting)
-        cfg = patch_config(nu_ladder=[3e-2, 1.7e-2, 9.5e-3, 5.3e-3], times=[0.025, 0.05])
+        monkeypatch.setattr(harness_mod, "snapshots", perturbing)
         series = run_experiment(cfg)
-        assert series.errors == []
-        assert len(calls) == len(cfg.nu_ladder) * len(cfg.times)
+        flagged = [v for v in series.invariant_violations if "u-velocity L2" in v]
+        assert len(flagged) == 1
+        assert flagged[0].startswith(f"nu={perturbed} t=0.025: |u-velocity L2 - vorticity H^-1|")
 
     def test_q_agrees_with_biot_savart_velocities(self, monkeypatch, tmp_path):
         # the coupling driven by velocities re-solved from each snapshot, as
         # before the stepper handed out its own
         import vvlab.harness as harness_mod
-        from vvlab.fields import biot_savart
+        from vvlab.fields import ScalarField2D, biot_savart
 
         cfg = patch_config(times=[0.025, 0.05])
         stepper = run_experiment(cfg)
         emit_report(stepper, cfg, tmp_path / "stepper")
-        real = harness_mod.run_split
+        real_run, real_stream = harness_mod.run_split, harness_mod.snapshots
 
-        def resolved(plus, minus, scfg):
-            tr = real(plus, minus, scfg)
+        def resolved_run(plus, minus, scfg):
+            tr = real_run(plus, minus, scfg)
             tr.velocity = [biot_savart(tr.full_at(t)) for t in tr.times]
             return tr
 
-        monkeypatch.setattr(harness_mod, "run_split", resolved)
+        def resolved_stream(plus, minus, scfg):
+            for s, values in real_stream(plus, minus, scfg):
+                u = biot_savart(ScalarField2D(plus.grid, values[0] - values[1]))
+                values[2:] = u.u1, u.u2
+                yield s, values
+
+        monkeypatch.setattr(harness_mod, "run_split", resolved_run)
+        monkeypatch.setattr(harness_mod, "snapshots", resolved_stream)
         resolved_series = run_experiment(cfg)
         emit_report(resolved_series, cfg, tmp_path / "resolved")
+        assert resolved_series.invariant_violations == stepper.invariant_violations == []
         assert resolved_series.lemma1.keys() == stepper.lemma1.keys()
         for a, b in zip(stepper.rows, resolved_series.rows):
             assert (a.err_l2_velocity, a.w1_vorticity, a.w2_split_sum) == (
@@ -406,21 +463,16 @@ class TestHm1Sweep:
                 kernels.append(self)
 
             def snapshot(self, w, members=True):
-                self.calls.append("snapshot")
+                self.calls.append(members)
                 return super().snapshot(w, members)
-
-            def parts(self, w):
-                self.calls.append("parts")
-                return super().parts(w)
 
         monkeypatch.setattr(evolve, "_Kernel", Recording)
         omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
         errs = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
         assert [k.cfg.nu for k in kernels] == [0.0, 2e-2, 1e-2]
         assert {k.cfg.record_every for k in kernels} == {2}  # gcd(4, 6)
-        # of the snapshots at steps 2, 4 and 6, only the two sweep times are
-        # transformed, and without their velocity
-        assert all(k.calls == ["parts", "parts"] for k in kernels)
+        # the velocity at step 0, then the snapshots at steps 2, 4 and 6
+        assert all(k.calls == [False, True, True, True] for k in kernels)
         assert all(len(e) == 2 and all(x > 0 for x in e) for e in errs.values())
 
     def test_time_off_the_step_grid_rejected(self):
