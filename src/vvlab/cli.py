@@ -149,18 +149,25 @@ def cmd_oracle(args, extra) -> int:
     if args.instance:
         spec = _read(args.instance, json.load)
         try:
-            parts = [(spec[m]["points"], spec[m]["weights"], spec["length"]) for m in ("mu", "nu")]
+            length = spec["length"]
+            parts = [(spec[m]["points"], spec[m]["weights"]) for m in ("mu", "nu")]
         except (KeyError, TypeError) as e:
             raise ConfigError(f"instance {args.instance} has no mu/nu points, weights "
                               f"and length: {e!r}") from e
-        mu, nu = (DiscreteMeasure(np.array(p), np.array(w), length) for p, w, length in parts)
+        if type(length) not in (int, float) or not 0 < length < np.inf:  # a bool is refused
+            raise ConfigError(f"instance {args.instance}: length must be a positive finite "
+                              f"number, got {length!r}")
     else:
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, 1, size=(2, args.atoms, 2))
         w = np.full(args.atoms, 1.0 / args.atoms)
-        mu = DiscreteMeasure(pts[0], w, 1.0)
-        nu = DiscreteMeasure(pts[1], w, 1.0)
-    brute = wasserstein_brute_force(mu, nu, p=args.p)
+        parts, length = [(pts[0], w), (pts[1], w)], 1.0
+    # a malformed instance fails here; a failure of the exact LP below is raised as it is
+    try:
+        mu, nu = (DiscreteMeasure(p, w, length) for p, w in parts)
+        brute = wasserstein_brute_force(mu, nu, p=args.p)
+    except ValueError as e:  # TransportError is one
+        raise ConfigError(f"instance {args.instance}: {e}") from e
     exact, _ = wasserstein_exact(mu, nu, p=args.p)
     print(f"brute force W{args.p} = {brute!r}")
     print(f"exact LP    W{args.p} = {exact!r}")

@@ -282,12 +282,11 @@ def check_apriori(tr: SplitTrajectory, tol: float = 1e-2) -> AprioriReport:
     rel_l1 = np.array([m.l1 / mons[0].l1 - 1.0 for m in mons])
     rel_linf = np.array([m.linf / mons[0].linf - 1.0 for m in mons])
     if tr.config.nu == 0:
-        viol = np.maximum(np.abs(rel_l1), np.abs(rel_linf))
-    else:
-        viol = np.maximum(rel_l1, rel_linf)
+        rel_l1, rel_linf = np.abs(rel_l1), np.abs(rel_linf)
+    viol = np.maximum(rel_l1, rel_linf)
     return AprioriReport(
-        l1_margin=float(np.max(rel_l1) if tr.config.nu > 0 else np.max(np.abs(rel_l1))),
-        linf_margin=float(np.max(rel_linf) if tr.config.nu > 0 else np.max(np.abs(rel_linf))),
+        l1_margin=float(np.max(rel_l1)),
+        linf_margin=float(np.max(rel_linf)),
         worst_index=int(np.argmax(viol)),
         ok=bool(np.max(viol) <= tol),
     )

@@ -29,7 +29,7 @@ from vvlab.coupling import (
     init_coupling,
     lemma1_ladder_stable,
 )
-from vvlab.evolve import SolverConfig, SolverError, SplitTrajectory, run_split, snapshots
+from vvlab.evolve import SolverConfig, SolverError, snapshots
 from vvlab.fields import FieldError, Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
@@ -318,16 +318,16 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     eval_times = _resolve_eval_times(cfg)
     t_end = max(eval_times)
     scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
-    euler_tr = run_split(split0.plus, split0.minus, scfg_euler)
 
-    # the solver step of each evaluation time, and the inviscid snapshot there
-    # as (plus, minus, u1, u2), with its parts' measures shared across the ladder
-    steps = {t: round(t / cfg.dt) for t in eval_times}
-    euler_at = {}
-    for t, s in steps.items():
-        i = s // cfg.record_every
-        u = euler_tr.velocity[i]
-        euler_at[t] = (euler_tr.plus[i].values, euler_tr.minus[i].values, u.u1, u.u2)
+    # the inviscid reference, read once: a copy of the velocity at every snapshot, so the
+    # parts are freed, and by time the whole snapshot at each evaluation time's step
+    at_step = {round(t / cfg.dt): t for t in eval_times}
+    euler_u, euler_at = [], {}
+    for s, values in snapshots(split0.plus, split0.minus, scfg_euler):
+        euler_u.append(values[2:].copy())
+        if s in at_step:
+            euler_at[at_step[s]] = values
+    # their parts' measures, shared by the ladder
     euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
     method, eps = cfg.transport_method, cfg.transport_epsilon
 
@@ -338,12 +338,12 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         # the initial ensemble is passed on, not held here while the leg streams
         series, kept = _stream_leg(
             init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg),
-            euler_tr, split0, replace(scfg_euler, nu=nu), set(steps.values()),
+            euler_u, split0, replace(scfg_euler, nu=nu), at_step,
         )
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
         leg_rows, violations = [], []
         for t in eval_times:
-            values, ref = kept[steps[t]], euler_at[t]
+            values, ref = kept[t], euler_at[t]
             err_hm1 = _hm1_error(grid, values, ref)
             # cross-check: the same error as the L2 norm of the difference of
             # the two snapshot velocities
@@ -400,7 +400,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         "resolution_check": "skipped",
     }
     if cfg.check_resolution:
-        flags["resolution_check"] = _resolution_check(cfg, euler_tr, rows)
+        flags["resolution_check"] = _resolution_check(cfg, scfg_euler, euler_at[t_end], rows)
 
     stable = lemma1_ladder_stable(lemma1_fits.values()) if len(lemma1_fits) >= 2 else False
     return RateSeries(
@@ -415,25 +415,25 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _stream_leg(ens, euler_tr: SplitTrajectory, split0, scfg: SolverConfig, keep) -> tuple:
+def _stream_leg(ens, euler_u: list, split0, scfg: SolverConfig, at_step: dict) -> tuple:
     """Stream one viscous run from the initial parts ``split0``. The coupling
     ``ens`` advances on the velocities averaged between consecutive snapshots,
-    the inviscid ones from ``euler_tr``. Returns the Q series and the snapshot
-    values at the steps in ``keep``, by step."""
+    the inviscid ones from ``euler_u``, one (2, n, n) array per snapshot.
+    Returns the Q series and the snapshot values at the steps of ``at_step``, by its time."""
     entries = [estimate_q(ens)]
     kept = {}
     # the averaged inviscid and viscous velocities, rewritten at every step
     mid = np.empty((2, 2) + split0.plus.values.shape)
     grid = split0.plus.grid
     for i, (s, values) in enumerate(snapshots(split0.plus, split0.minus, scfg)):
-        t, u_nu = s * scfg.dt, VectorField2D(grid, values[2], values[3])
+        t, u_nu = s * scfg.dt, values[2:]
         if i:
-            u_mid = _average_velocity(*euler_tr.velocity[i - 1:i + 1], out=mid[0])
-            unu_mid = _average_velocity(u_prev, u_nu, out=mid[1])
+            u_mid = _average_velocity(grid, euler_u[i - 1], euler_u[i], out=mid[0])
+            unu_mid = _average_velocity(grid, u_prev, u_nu, out=mid[1])
             ens = advance_coupling(ens, u_mid, unu_mid, scfg.nu, t - t_prev)
             entries.append(estimate_q(ens))
-        if s in keep:
-            kept[s] = values
+        if s in at_step:
+            kept[at_step[s]] = values
         t_prev, u_prev = t, u_nu
     return QSeries(entries=entries), kept
 
@@ -464,12 +464,11 @@ def _equalize_mass(mu, nu_m):
     return mu
 
 
-def _average_velocity(a: VectorField2D, b: VectorField2D, out: np.ndarray) -> VectorField2D:
-    """0.5 * (a + b), written into ``out`` of shape (2, n, n). The field is a
-    view of ``out`` and holds its values until ``out`` is next written."""
-    for a_c, b_c, o in zip((a.u1, a.u2), (b.u1, b.u2), out):
-        np.multiply(0.5, np.add(a_c, b_c, out=o), out=o)
-    return VectorField2D(a.grid, out[0], out[1])
+def _average_velocity(grid: Grid2D, a, b, out: np.ndarray) -> VectorField2D:
+    """0.5 * (a + b) of two (2, n, n) velocity arrays, written into ``out``. The
+    field is a view of ``out`` and holds its values until ``out`` is next written."""
+    np.multiply(0.5, np.add(a, b, out=out), out=out)
+    return VectorField2D(grid, out[0], out[1])
 
 
 def _check_chain(row: RateRow, norms0, violations, series) -> None:
@@ -494,19 +493,18 @@ def _check_chain(row: RateRow, norms0, violations, series) -> None:
         )
 
 
-def _resolution_check(cfg: ExperimentConfig, euler_tr: SplitTrajectory, rows) -> str:
-    """Grid-doubling estimate of the discretization error of the reference ``euler_tr``."""
+def _resolution_check(cfg: ExperimentConfig, scfg: SolverConfig, euler_end, rows) -> str:
+    """Grid-doubling estimate of the discretization error of the inviscid
+    reference run with ``scfg``, whose snapshot at t_end is ``euler_end``."""
     fine = Grid2D(cfg.n * 2, cfg.length)
     split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
-    scfg = euler_tr.config
     # one snapshot every t_end / dt steps: only the end state is transformed
     for _, fine_end in snapshots(split_f.plus, split_f.minus,
                                  replace(scfg, record_every=round(scfg.t_end / scfg.dt))):
         pass
-    wc = euler_tr.full_at(scfg.t_end)
     # restrict the fine solution to the coarse grid
-    diff = wc.values - (fine_end[0] - fine_end[1])[::2, ::2]
-    disc_err = hm1_norm(ScalarField2D(wc.grid, diff - diff.mean()))
+    diff = (euler_end[0] - euler_end[1]) - (fine_end[0] - fine_end[1])[::2, ::2]
+    disc_err = hm1_norm(ScalarField2D(Grid2D(cfg.n, cfg.length), diff - diff.mean()))
     smallest = min((r.err_l2_velocity for r in rows), default=math.inf)
     return "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"
 

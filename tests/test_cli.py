@@ -109,7 +109,6 @@ class TestRunVerb:
             raise AssertionError("integration started on an invalid config")
 
         # the Euler reference and every leg
-        monkeypatch.setattr(harness_mod, "run_split", no_integration)
         monkeypatch.setattr(harness_mod, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
@@ -144,7 +143,6 @@ class TestRunVerb:
             raise AssertionError("integration started on invalid initial data")
 
         # the Euler reference and every leg
-        monkeypatch.setattr(harness_mod, "run_split", no_integration)
         monkeypatch.setattr(harness_mod, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
@@ -271,6 +269,18 @@ class TestFitVerb:
         assert "t=0.1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("row,message", [
+        ((1e-5, 0.1, math.inf), "errors must be finite, got [inf]"),
+        ((-1e-5, 0.1, 0.01), "viscosities must lie in (0, inf), got [-1e-05]"),
+    ], ids=["inf_error", "negative_nu"])
+    def test_fit_bad_row_is_config_error(self, row, message, tmp_path, capsys):
+        rows = [(1e-2, 0.1, 0.5), (1e-3, 0.1, 0.2), (1e-4, 0.1, 0.1), row]
+        csv_path = tmp_path / "rates.csv"
+        write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
+        assert main(["fit", str(csv_path)]) == EXIT_CONFIG
+        assert f"t=0.1: {message}" in capsys.readouterr().err
+
+
 class TestCheckVerb:
     def test_small_suite_passes(self, capsys):
         assert main(["check", "--instances", "5", "--seed", "0"]) == EXIT_OK
@@ -312,3 +322,17 @@ class TestOracleVerb:
         p = tmp_path / "inst.json"
         p.write_text(json.dumps(spec))
         assert main(["oracle", "--instance", str(p), "--p", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("mu,length,message", [
+        ({"points": [[0.1, 0.1]], "weights": [1.0]}, 1.0, "equal sizes"),
+        ({"points": [[0.1, 0.1], [0.4, 0.4]], "weights": [1.5, -0.5]}, 1.0, "nonnegative"),
+        ({"points": [[0.1, 0.1], [0.4, 0.4]], "weights": [0.5, 0.5]}, "x",
+         "length must be a positive finite number, got 'x'"),
+    ], ids=["unequal_sizes", "negative_weight", "string_length"])
+    def test_malformed_instance_is_config_error(self, mu, length, message, tmp_path, capsys):
+        spec = {"length": length, "mu": mu,
+                "nu": {"points": [[0.2, 0.1], [0.4, 0.5]], "weights": [0.5, 0.5]}}
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(spec))
+        assert main(["oracle", "--instance", str(p)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err

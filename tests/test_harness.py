@@ -353,24 +353,49 @@ class TestRunExperiment:
 
     def test_run_makes_no_biot_savart_call(self, monkeypatch):
         # the velocities and the cross-check come from the stepper's snapshots,
-        # and only the Euler reference is kept as a whole trajectory
+        # and every trajectory, the Euler reference too, is streamed once
         import vvlab.harness as harness_mod
         from vvlab import fields
 
-        calls, real_run, runs = [], harness_mod.run_split, []
+        calls, real_stream, runs = [], harness_mod.snapshots, []
 
-        def counting_run(*args):
-            runs.append(args[2].nu)
-            return real_run(*args)
+        def counting_stream(plus, minus, scfg):
+            runs.append(scfg.nu)
+            return real_stream(plus, minus, scfg)
 
         monkeypatch.setattr(fields, "biot_savart", calls.append)
-        monkeypatch.setattr(harness_mod, "run_split", counting_run)
+        monkeypatch.setattr(harness_mod, "snapshots", counting_stream)
         cfg = patch_config(times=[0.025, 0.05])
         series = run_experiment(cfg)
         assert series.errors == [] and len(series.rows) == len(cfg.nu_ladder) * len(cfg.times)
         assert calls == []
         assert not hasattr(harness_mod, "biot_savart")
-        assert runs == [0.0]
+        assert not hasattr(harness_mod, "run_split")
+        assert runs == [0.0, *cfg.nu_ladder]
+
+    def test_euler_reference_keeps_only_its_evaluation_snapshots(self, monkeypatch):
+        # while a leg streams, of the arrays the Euler run yielded only the
+        # snapshots at the evaluation times are alive; its velocities are copies
+        import weakref
+
+        import vvlab.harness as harness_mod
+
+        real, euler, alive = harness_mod.snapshots, [], []
+
+        def watching(plus, minus, scfg):
+            for s, values in real(plus, minus, scfg):
+                if scfg.nu == 0:
+                    euler.append(weakref.ref(values))
+                elif not alive:
+                    alive.append(sum(ref() is not None for ref in euler))
+                yield s, values
+
+        monkeypatch.setattr(harness_mod, "snapshots", watching)
+        cfg = patch_config(times=[0.025, 0.05])
+        series = run_experiment(cfg)
+        assert series.errors == []
+        assert len(euler) == 11  # steps 0 to 10
+        assert alive == [len(cfg.times)]
 
     def test_velocity_cross_check_is_live(self, monkeypatch):
         # a perturbed snapshot velocity no longer matches the H^-1 error of the parts
@@ -401,20 +426,15 @@ class TestRunExperiment:
         cfg = patch_config(times=[0.025, 0.05])
         stepper = run_experiment(cfg)
         emit_report(stepper, cfg, tmp_path / "stepper")
-        real_run, real_stream = harness_mod.run_split, harness_mod.snapshots
+        real_stream = harness_mod.snapshots
 
-        def resolved_run(plus, minus, scfg):
-            tr = real_run(plus, minus, scfg)
-            tr.velocity = [biot_savart(tr.full_at(t)) for t in tr.times]
-            return tr
-
+        # the Euler reference and every leg
         def resolved_stream(plus, minus, scfg):
             for s, values in real_stream(plus, minus, scfg):
                 u = biot_savart(ScalarField2D(plus.grid, values[0] - values[1]))
                 values[2:] = u.u1, u.u2
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "run_split", resolved_run)
         monkeypatch.setattr(harness_mod, "snapshots", resolved_stream)
         resolved_series = run_experiment(cfg)
         emit_report(resolved_series, cfg, tmp_path / "resolved")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,3 +104,23 @@ class TestValidation:
         nus = np.array([1e-3, 1.5e-3, 2e-3, 3e-3])
         with pytest.warns(UserWarning, match="decade"):
             fit_rate(nus, nus ** 0.5)
+
+    @pytest.mark.parametrize("nus,errors,transformed,named", [
+        ([1e-2, 1e-3, 0.0, 1e-5], [0.1, 0.03, 0.01, 0.003], False, "(0, inf), got [0.0]"),
+        ([1e-2, 1e-3, -1e-4, 1e-5], [0.1, 0.03, 0.01, 0.003], False, "got [-0.0001]"),
+        ([1.0, 1e-2, 1e-3, 1e-4], [0.1, 0.03, 0.01, 0.003], True, "(0, 1), got [1.0]"),
+        ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.inf, 0.01, 0.003], False, "finite, got [inf]"),
+        ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.nan, 0.01, 0.003], False, "finite, got [nan]"),
+    ], ids=["zero_nu", "negative_nu", "transformed_unit_nu", "inf_error", "nan_error"])
+    def test_bad_input_rejected_naming_the_values(self, nus, errors, transformed, named, capfd):
+        # not a LAPACK failure, a NaN exponent or a dropped "zero-error" row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                fit_rate(nus, errors, transformed=transformed)
+        assert named in str(info.value)
+        assert capfd.readouterr().err == ""
+
+    def test_unit_viscosity_allowed_untransformed(self):
+        nus = np.array([1.0, 1e-1, 1e-2, 1e-3])
+        assert fit_rate(nus, nus ** 0.5).exponent == pytest.approx(0.5, abs=1e-9)
