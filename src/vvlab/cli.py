@@ -154,9 +154,6 @@ def cmd_oracle(args, extra) -> int:
         except (KeyError, TypeError) as e:
             raise ConfigError(f"instance {args.instance} has no mu/nu points, weights "
                               f"and length: {e!r}") from e
-        if type(length) not in (int, float) or not 0 < length < np.inf:  # a bool is refused
-            raise ConfigError(f"instance {args.instance}: length must be a positive finite "
-                              f"number, got {length!r}")
     else:
         rng = np.random.default_rng(args.seed)
         pts = rng.uniform(0, 1, size=(2, args.atoms, 2))

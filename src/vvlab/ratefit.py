@@ -37,13 +37,16 @@ def fit_rate(
     """OLS slope of log(err) against log(nu), or log(nu/|log nu|) when
     ``transformed``; 95% CI by pairwise bootstrap.
 
-    Rows with zero error are dropped with a warning (log undefined). A non-finite
-    error, or a viscosity outside (0, inf), or (0, 1) when ``transformed``, is a ValueError.
+    Rows with zero error are dropped with a warning (log undefined). A negative
+    or non-finite error, or a viscosity outside (0, inf), or (0, 1) when
+    ``transformed``, is a ValueError.
     """
     nus = np.asarray(list(nus), float)
     errors = np.asarray(list(errors), float)
     if not np.isfinite(errors).all():
         raise ValueError(f"errors must be finite, got {errors[~np.isfinite(errors)].tolist()}")
+    if np.any(errors < 0):
+        raise ValueError(f"errors must be nonnegative, got {errors[errors < 0].tolist()}")
     top = 1.0 if transformed else np.inf
     outside = nus[~((nus > 0) & (nus < top))]
     if len(outside):

@@ -4,11 +4,13 @@
 exact or the Sinkhorn route by name. The routes behind it are cross-checked
 against each other:
 
-* an exact linear-programming solver (SciPy's HiGHS, imported on first use)
-  for supports of up to 4096 atoms, solved by column generation: the LP runs
-  on a sparse set of active pairs and the duals price the full cost matrix
-  until no pair can lower the cost (the shortlist idea of Gottschlich &
-  Schuhmacher, 2014),
+* an exact linear-programming solver for supports of up to 4096 atoms, solved
+  by column generation: the LP runs on a sparse set of active pairs and the
+  duals price the full cost matrix until no pair can lower the cost (the
+  shortlist idea of Gottschlich & Schuhmacher, 2014). Each call holds one
+  model on SciPy's vendored HiGHS binding (imported on first use; an exact
+  run's config loads it): entering pairs join it as columns and every round
+  after the first re-solves from the last optimal basis,
 * a brute-force assignment enumeration used as the test oracle,
 * a Sinkhorn iteration with epsilon-scaling, debiased into the Sinkhorn
   divergence (Feydy et al., AISTATS 2019). It iterates on scalings u, v of a
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +71,13 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if self.points.shape[0] != self.weights.shape[0]:
             raise TransportError("points and weights must have equal length")
-        if np.any(self.weights < 0):
-            raise TransportError("weights must be nonnegative")
+        bad = self.weights[~(np.isfinite(self.weights) & (self.weights >= 0))]
+        if len(bad):
+            raise TransportError(f"weights must be finite and nonnegative, got {bad.tolist()}")
+        length = self.length
+        if isinstance(length, bool) or not isinstance(length, numbers.Real) \
+                or not 0 < length < math.inf:
+            raise TransportError(f"length must be a positive finite number, got {length!r}")
         self.points = np.mod(self.points, self.length)
 
     @property
@@ -175,6 +183,12 @@ def wasserstein_exact(
     column join the active set and the LP is solved again. When no pair prices
     out, the duals are feasible for the full LP, so by LP duality the
     restricted optimum is the optimum over all m*k pairs.
+
+    The rounds share one LP model: the first solves from scratch by dual
+    simplex, and each later one adds the entering pairs as columns and goes on
+    by primal simplex from the previous optimal basis, which stays feasible.
+    A solve that ends without an optimum is redone once from scratch with
+    presolve on before it raises a TransportError.
     """
     _check_order(p)
     _check_mass_equality(mu, nu)
@@ -192,18 +206,22 @@ def wasserstein_exact(
     a, b = mu.weights / mass, nu.weights / mass
     active = _smallest_per_line(C) | _corner_support(mu, nu)
     tol = PRICING_RTOL * max(float(C.max()), 1e-300)
+    lp = _RestrictedLP(a, b)
+    entering = np.flatnonzero(active)
     while True:
-        idx = np.flatnonzero(active)
-        x, duals = _solve_restricted(C.ravel()[idx], idx // k, idx % k, a, b)
+        lp.add(entering, C.ravel()[entering])
+        x, duals = lp.solve()
         # the dropped last column constraint carries potential 0
         f, g = duals[:m], np.append(duals[m:], 0.0)
         reduced = C - f[:, None] - g[None, :]
         reduced[active] = np.inf
-        entering = _smallest_per_line(reduced) & (reduced < -tol)
-        if not entering.any():
+        entering = np.flatnonzero(_smallest_per_line(reduced) & (reduced < -tol))
+        if not len(entering):
             break
-        active |= entering
-    x *= mass
+        active.ravel()[entering] = True
+    # the plan in pair order, as the active mask lists it
+    order = np.argsort(lp.pairs)
+    idx, x = lp.pairs[order], x[order] * mass
     cost = float(np.sum(x * C.ravel()[idx]))
     nz = np.flatnonzero(x > 1e-14 * max(mu.total_mass, 1e-300))
     pairs = [(int(idx[n] // k), int(idx[n] % k), float(x[n])) for n in nz]
@@ -260,30 +278,65 @@ def _hilbert_order(meas: DiscreteMeasure) -> np.ndarray:
     return np.argsort(d, kind="stable")
 
 
-def _solve_restricted(c, i, j, a, b):
-    """Transport LP on the pairs (i, j); returns the plan and the equality duals."""
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+class _RestrictedLP:
+    """The transport LP over a growing set of pairs, held as one HiGHS model.
 
-    m, k = len(a), len(b)
-    # row marginals (m) plus column marginals (k, last dropped as redundant)
-    var = np.arange(len(c))
-    sel = j < k - 1
-    a_eq = sp.csc_matrix(
-        (np.ones(len(c) + sel.sum()), (np.concatenate([i, m + j[sel]]),
-                                       np.concatenate([var, var[sel]]))),
-        shape=(m + k - 1, len(c)),
-    )
-    b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(
-        c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        options={"presolve": False},
-    )
-    if not res.success:
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise TransportError(f"exact transport LP failed: {res.message}")
-    return res.x, res.eqlin.marginals
+    The rows are the m row marginals and the first k - 1 column marginals (the
+    last is implied by equal mass). Pairs join as columns, in the order of
+    ``pairs``; each solve after the first re-optimises from the previous optimal
+    basis, since the old columns keep their values and the new ones enter at zero.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        # SciPy's vendored HiGHS binding: linprog rebuilds its model every call
+        from scipy.optimize._highspy import _core
+
+        self._core = _core
+        self.m, self.k = len(a), len(b)
+        self.pairs = np.zeros(0, dtype=np.intp)  # flat indices i * k + j
+        self.highs = _core._Highs()
+        # linprog's settings for method="highs" (dual simplex), presolve off
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "off")
+        rhs = np.concatenate([a, b[:-1]])
+        empty = np.zeros(0, dtype=np.int32)
+        self.highs.addRows(len(rhs), rhs, rhs, 0, empty, empty, np.zeros(0))
+
+    def add(self, pairs: np.ndarray, c: np.ndarray) -> None:
+        """Join the pairs (flat indices i * k + j) with costs c as new columns."""
+        self.pairs = np.concatenate([self.pairs, pairs])
+        i, j = np.divmod(pairs, self.k)
+        n = len(c)
+        # a unit entry in the pair's row-marginal row and, unless j is the
+        # last target, in its column-marginal row
+        keep = np.stack([np.ones(n, dtype=bool), j < self.k - 1], axis=1)
+        index = np.stack([i, self.m + j], axis=1)[keep].astype(np.int32)
+        count = keep.sum(axis=1)
+        starts = (np.cumsum(count) - count).astype(np.int32)
+        self.highs.addCols(n, c, np.zeros(n), np.full(n, np.inf), len(index), starts,
+                           index, np.ones(len(index)))
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal plan over the current columns and the row duals."""
+        optimal = self._core.HighsModelStatus.kOptimal
+        self.highs.run()
+        if self.highs.getModelStatus() != optimal:
+            # once from scratch with presolve on, as linprog's default would
+            self.highs.clearSolver()
+            self.highs.setOptionValue("presolve", "on")
+            self.highs.run()
+            self.highs.setOptionValue("presolve", "off")
+        status = self.highs.getModelStatus()
+        if status != optimal:
+            raise TransportError(
+                f"exact transport LP failed: {self.highs.modelStatusToString(status)}"
+            )
+        # columns join at zero, so this basis stays primal feasible: the next
+        # solve continues from it by primal simplex
+        primal = self._core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+        self.highs.setOptionValue("simplex_strategy", int(primal))
+        sol = self.highs.getSolution()
+        return np.array(sol.col_value), np.array(sol.row_dual)
 
 
 def wasserstein_brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2) -> float:

@@ -57,3 +57,33 @@ def random_mean_zero_field(grid: Grid2D, seed: int, k_max: int = 8) -> ScalarFie
     vals = np.fft.ifft2(coef).real
     vals -= vals.mean()
     return ScalarField2D(grid, vals)
+
+
+@pytest.fixture
+def stall_highs(monkeypatch):
+    """``stall_highs(runs)`` substitutes the HiGHS model class so that the next
+    ``runs`` solves stop at an iteration limit of 0, a non-optimal status. It
+    returns a record of the stalls ``left`` and the ``presolve`` setting of
+    every solve."""
+    from types import SimpleNamespace
+
+    from scipy.optimize._highspy import _core
+
+    def stall(runs):
+        record = SimpleNamespace(left=runs, presolve=[])
+
+        class StallingHighs(_core._Highs):
+            def run(self):
+                record.presolve.append(self.getOptionValue("presolve")[1])
+                if not record.left:
+                    return super().run()
+                record.left -= 1
+                self.setOptionValue("simplex_iteration_limit", 0)
+                status = super().run()
+                self.setOptionValue("simplex_iteration_limit", _core.kHighsIInf)
+                return status
+
+        monkeypatch.setattr(_core, "_Highs", StallingHighs)
+        return record
+
+    return stall

@@ -174,6 +174,15 @@ class TestRunVerb:
         with pytest.raises(KeyError, match="a programming error"):
             main(["run", "--config", str(tiny_config)])
 
+    def test_failing_exact_lp_is_a_leg_error(self, tiny_config, tmp_path, stall_highs):
+        stall_highs(math.inf)
+        code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "out")])
+        assert code == EXIT_LEG_ERROR
+        summary = json.loads((tmp_path / "out" / "cli-tiny-seed0" / "summary.json").read_text())
+        assert [nu for nu, _ in summary["leg_errors"]] == [3e-2, 1.7e-2, 9.5e-3, 5.3e-3]
+        for _, msg in summary["leg_errors"]:
+            assert msg.startswith("TransportError: exact transport LP failed")
+
     def test_failed_leg_exits_3_and_leaves_the_other_legs(self, tiny_config, tmp_path,
                                                           monkeypatch, capsys):
         self.check_failed_leg(0, tiny_config, tmp_path, monkeypatch, capsys)
@@ -272,7 +281,8 @@ class TestFitVerb:
     @pytest.mark.parametrize("row,message", [
         ((1e-5, 0.1, math.inf), "errors must be finite, got [inf]"),
         ((-1e-5, 0.1, 0.01), "viscosities must lie in (0, inf), got [-1e-05]"),
-    ], ids=["inf_error", "negative_nu"])
+        ((1e-5, 0.1, -0.01), "errors must be nonnegative, got [-0.01]"),
+    ], ids=["inf_error", "negative_nu", "negative_error"])
     def test_fit_bad_row_is_config_error(self, row, message, tmp_path, capsys):
         rows = [(1e-2, 0.1, 0.5), (1e-3, 0.1, 0.2), (1e-4, 0.1, 0.1), row]
         csv_path = tmp_path / "rates.csv"

@@ -111,7 +111,9 @@ class TestValidation:
         ([1.0, 1e-2, 1e-3, 1e-4], [0.1, 0.03, 0.01, 0.003], True, "(0, 1), got [1.0]"),
         ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.inf, 0.01, 0.003], False, "finite, got [inf]"),
         ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.nan, 0.01, 0.003], False, "finite, got [nan]"),
-    ], ids=["zero_nu", "negative_nu", "transformed_unit_nu", "inf_error", "nan_error"])
+        ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, -0.01, 0.01, 0.003], False, "nonnegative, got [-0.01]"),
+    ], ids=["zero_nu", "negative_nu", "transformed_unit_nu", "inf_error", "nan_error",
+            "negative_error"])
     def test_bad_input_rejected_naming_the_values(self, nus, errors, transformed, named, capfd):
         # not a LAPACK failure, a NaN exponent or a dropped "zero-error" row
         with warnings.catch_warnings():

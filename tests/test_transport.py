@@ -46,6 +46,16 @@ class TestMeasures:
         with pytest.raises(TransportError):
             DiscreteMeasure([[0.1, 0.1]], [-1.0], 1.0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected_naming_it(self, weight):
+        with pytest.raises(TransportError, match=rf"nonnegative, got \[{weight}\]"):
+            DiscreteMeasure([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]], [0.5, 1.0, weight], 1.0)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan, True, "1.0"])
+    def test_bad_length_rejected_naming_it(self, length):
+        with pytest.raises(TransportError, match=f"positive finite number, got {length!r}"):
+            DiscreteMeasure([[0.1, 0.1]], [1.0], length)
+
     def test_split_signed_reconstructs(self, grid32):
         rng = np.random.default_rng(0)
         f = ScalarField2D(grid32, rng.normal(size=(32, 32)))
@@ -204,14 +214,15 @@ def unequal_pair(seed, m, k):
 
 
 def count_lp_solves(monkeypatch):
+    """Record the model and its number of pairs at every restricted LP solve."""
     calls = []
-    real = transport._solve_restricted
+    real = transport._RestrictedLP.solve
 
-    def counting(c, *args):
-        calls.append(len(c))
-        return real(c, *args)
+    def counting(lp):
+        calls.append((lp, lp.highs.getNumCol()))
+        return real(lp)
 
-    monkeypatch.setattr(transport, "_solve_restricted", counting)
+    monkeypatch.setattr(transport._RestrictedLP, "solve", counting)
     return calls
 
 
@@ -242,9 +253,27 @@ class TestColumnGeneration:
         solves = count_lp_solves(monkeypatch)
         mu, nu = unequal_pair(7, 90, 60)
         assert_matches_dense(mu, nu, p)
-        assert len(solves) >= 3
-        assert solves == sorted(solves)  # the active set only grows
-        assert solves[-1] < len(mu) * len(nu)
+        sizes = [n for _, n in solves]
+        assert len(sizes) >= 3
+        assert sizes == sorted(sizes)  # the active set only grows
+        assert sizes[-1] < len(mu) * len(nu)
+        # every round re-solves one model, which keeps its basis between rounds
+        assert len({id(lp) for lp, _ in solves}) == 1
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_stalled_solve_is_redone_with_presolve(self, stall_highs, p):
+        stalls = stall_highs(1)
+        mu, nu = unequal_pair(7, 90, 60)
+        # the first round stops short and is redone from scratch with presolve
+        assert_matches_dense(mu, nu, p)
+        assert stalls.left == 0
+        assert stalls.presolve[:2] == ["off", "on"]
+
+    def test_persistent_lp_failure_raises(self, stall_highs):
+        stall_highs(math.inf)
+        mu, nu = unequal_pair(7, 90, 60)
+        with pytest.raises(TransportError, match="exact transport LP failed: Iteration limit"):
+            wasserstein_exact(mu, nu, p=1)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("m, k", [(1, 1), (1, 40), (40, 1), (3, 5), (5, 3)])
