@@ -8,7 +8,8 @@ Verbs:
 * ``oracle`` -- brute-force transport solver on small instances
 
 Exit codes: 0 success, 1 invariant violation, 2 configuration error (a config,
-override, CSV or instance file that cannot be opened, parsed or used), 3 a
+override, CSV or instance file that cannot be opened, parsed or used, or a
+report directory that cannot be made; ``run`` makes it first), 3 a
 viscosity leg of ``run`` failed numerically: its rows are missing from the
 report, and 3 wins over 1. Any other exception is a programming error and is
 raised, never reported as one of these.
@@ -79,6 +80,11 @@ def cmd_run(args, extra) -> int:
         apply_override(tree, path, raw)
     cfg = ExperimentConfig.from_nested(tree)
     outdir = Path(args.output or cfg.output_dir) / f"{cfg.name}-seed{cfg.seed}"
+    # before the run, so an unusable output path costs no integration
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create report directory {outdir}: {e}") from e
     series = run_experiment(cfg)
     summary = emit_report(series, cfg, outdir)
     print(f"report written to {outdir}")
@@ -106,6 +112,8 @@ def cmd_fit(args, extra) -> int:
         return [(float(rec["nu"]), float(rec["t"]), float(rec[args.column])) for rec in reader]
 
     rows = _read(args.csv, parse)
+    if not rows:
+        raise ConfigError(f"{args.csv} has no data rows")
     times = sorted({t for _, t, _ in rows})
     if args.time is not None:
         times = [t for t in times if abs(t - args.time) < 1e-12]

@@ -5,12 +5,16 @@ Y follows the viscous velocity plus Brownian forcing of intensity sqrt(2 nu).
 The weighted second moment of the pair separation is the coupling cost Q(t),
 an upper bound (up to MC and binning error) for the squared 2-Wasserstein
 distance between the viscous and inviscid signed vorticity parts.
+
+An ensemble owns copies of its positions and the work arrays of its particle
+count; ``advance_coupling`` moves it in place, so a step allocates no array
+of the particle count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it here, not inside a run)
@@ -41,39 +45,27 @@ class CouplingEnsemble:
     rng_seed: int
     time: float = 0.0
     step_index: int = 0
-    # the work arrays of this ensemble's steps and estimates, which each step
-    # hands on to the ensemble it returns
-    _work: _Work | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = torus_wrap(np.asarray(self.x, float).reshape(-1, 2), self.length)
-        self.y = torus_wrap(np.asarray(self.y, float).reshape(-1, 2), self.length)
-        self.weights = np.asarray(self.weights, float).reshape(-1)
-        self.signs = np.asarray(self.signs, int).reshape(-1)
-        if self._work is None:
-            self._work = _Work(self)
+        # copies: a step writes the positions in place, never into the caller's arrays
+        self.x = torus_wrap(np.array(self.x, float).reshape(-1, 2), self.length, in_place=True)
+        self.y = torus_wrap(np.array(self.y, float).reshape(-1, 2), self.length, in_place=True)
+        self.weights = np.array(self.weights, float).reshape(-1)
+        self.signs = np.array(self.signs, int).reshape(-1)
+        # the work arrays of the steps and estimates
+        m = len(self.weights)
+        self._particles = ParticleWork(m)
+        self._delta = np.empty((m, 2))  # a step's drift, then its noise
+        self._finite = np.empty((m, 2), dtype=bool)
+        # per sign: the sign, its particles' indices and their total weight
+        self._by_sign = [(sign, np.flatnonzero(self.signs == sign), self.mass(sign))
+                         for sign in (1, -1)]
 
     def __len__(self):
         return len(self.weights)
 
     def mass(self, sign: int) -> float:
         return float(self.weights[self.signs == sign].sum())
-
-
-class _Work:
-    """Arrays of the particle count that the steps and estimates of one chain
-    of ensembles (same particles, weights and signs) reuse."""
-
-    def __init__(self, ens: CouplingEnsemble):
-        m = len(ens)
-        self.particles = ParticleWork(m)
-        self.delta = np.empty((m, 2))  # a step's drift, then its noise
-        self.finite = np.empty((m, 2), dtype=bool)
-        # per sign: the sign, its particles' indices and their total weight
-        self.signs = []
-        for sign in (1, -1):
-            sel = ens.signs == sign
-            self.signs.append((sign, np.flatnonzero(sel), float(ens.weights[sel].sum())))
 
 
 @dataclass
@@ -160,7 +152,7 @@ def init_coupling(omega0: ScalarField2D, n_particles: int, rng_seed: int) -> Cou
     x = np.vstack(xs)
     return CouplingEnsemble(
         x=x,
-        y=x.copy(),
+        y=x,
         weights=np.concatenate(ws),
         signs=np.concatenate(ss),
         length=omega0.grid.length,
@@ -175,37 +167,32 @@ def advance_coupling(
     nu: float,
     dt: float,
 ) -> CouplingEnsemble:
-    """One Euler-Maruyama step: X follows u, Y follows u_nu + sqrt(2 nu) noise.
+    """One Euler-Maruyama step of ``ens``, in place: X follows u, Y follows
+    u_nu + sqrt(2 nu) noise. Returns ``ens``.
 
     The Gaussian draw is keyed on (ensemble seed, step index), so a run is
-    reproducible and independent of any internal parallelization order.
-    The new positions are the only arrays the step allocates.
+    reproducible and independent of any internal parallelization order. The
+    step writes into the ensemble's own arrays and allocates none of the
+    particle count. After a CouplingError the positions are the failed step's.
     """
-    work = ens._work
-
-    def moved(pos, vel):  # pos + dt * interpolate_velocity(vel, pos)
-        drift = interpolate_velocity(vel, pos, work.particles)
-        return np.add(pos, np.multiply(dt, drift, out=work.delta))
-
-    x, y = moved(ens.x, u), moved(ens.y, u_nu)
+    x, y, delta = ens.x, ens.y, ens._delta
+    for pos, vel in ((x, u), (y, u_nu)):  # pos += dt * interpolate_velocity(vel, pos)
+        # the interpolation is a transposed view, which numpy would scale
+        # through a buffer of its own; copied first, it is scaled in place
+        np.copyto(delta, interpolate_velocity(vel, pos, ens._particles))
+        np.add(pos, np.multiply(dt, delta, out=delta), out=pos)
     if nu > 0:
         rng = np.random.Generator(np.random.Philox(key=[ens.rng_seed, ens.step_index + 1]))
-        noise = rng.standard_normal(out=work.delta)
+        noise = rng.standard_normal(out=delta)
         np.add(y, np.multiply(math.sqrt(2.0 * nu * dt), noise, out=noise), out=y)
-    if not (np.isfinite(x, out=work.finite).all() and np.isfinite(y, out=work.finite).all()):
+    if not (np.isfinite(x, out=ens._finite).all() and np.isfinite(y, out=ens._finite).all()):
         bad = int(np.argwhere(~np.isfinite(x + y))[0][0])
         raise CouplingError(f"non-finite particle position at index {bad}")
-    return CouplingEnsemble(
-        x=torus_wrap(x, ens.length, in_place=True),
-        y=torus_wrap(y, ens.length, in_place=True),
-        weights=ens.weights,
-        signs=ens.signs,
-        length=ens.length,
-        rng_seed=ens.rng_seed,
-        time=ens.time + dt,
-        step_index=ens.step_index + 1,
-        _work=work,
-    )
+    torus_wrap(x, ens.length, in_place=True)
+    torus_wrap(y, ens.length, in_place=True)
+    ens.time += dt
+    ens.step_index += 1
+    return ens
 
 
 def estimate_q(ens: CouplingEnsemble) -> QEstimate:
@@ -216,15 +203,14 @@ def estimate_q(ens: CouplingEnsemble) -> QEstimate:
     """
     if len(ens) == 0:
         raise CouplingError("empty ensemble")
-    work = ens._work
-    dist = torus_distance(ens.x, ens.y, ens.length, work.particles)
+    dist = torus_distance(ens.x, ens.y, ens.length, ens._particles)
     d2 = np.square(dist, out=dist)
     # the per-sign values and their leave-one-out means, in the rows that
     # torus_distance leaves free
-    vals_buf, loo_buf = work.particles.coords
+    vals_buf, loo_buf = ens._particles.coords
     out = {}
     var = 0.0
-    for sign, idx, mass in work.signs:
+    for sign, idx, mass in ens._by_sign:
         n = len(idx)
         if n == 0:
             out[sign] = 0.0

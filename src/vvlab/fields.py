@@ -227,7 +227,8 @@ class ParticleWork:
         # interpolation: scaled coordinates, then fractions; torus_distance:
         # the displacement, left free once the distance is formed
         self.coords = np.empty((2, m))
-        # interpolation: 1 - fractions; torus_distance: the distance, in row 0
+        # interpolation: whole parts, then 1 - fractions; torus_distance: the
+        # distance, in row 0
         self.weights = np.empty((2, m))
         self.lo = np.empty((2, m), dtype=np.intp)      # lower cell index per axis
         self.hi = np.empty((2, m), dtype=np.intp)      # upper cell index per axis
@@ -244,8 +245,10 @@ def interpolate_velocity(u: VectorField2D, points: np.ndarray, work=None) -> np.
     n, h = u.grid.n, u.grid.spacing
     s, i0, i1 = work.coords, work.lo, work.hi
     torus_wrap(np.divide(pts.T, h, out=s), n, in_place=True)
-    np.copyto(i0, s, casting="unsafe")  # truncation is the floor: s is nonnegative
-    frac = np.subtract(s, i0, out=s)
+    # s is nonnegative, so its whole part is the cell index; no mixed-type
+    # subtraction, which would buffer its cast
+    frac, whole = np.modf(s, out=(s, work.weights))
+    np.copyto(i0, whole, casting="unsafe")
     np.bitwise_and(np.add(i0, 1, out=i1), n - 1, out=i1)  # i0 + 1 wrapped: n is a power of two
     fx, fy = frac
     gx, gy = np.subtract(1, frac, out=work.weights)

@@ -319,12 +319,15 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     t_end = max(eval_times)
     scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
 
-    # the inviscid reference, read once: a copy of the velocity at every snapshot, so the
-    # parts are freed, and by time the whole snapshot at each evaluation time's step
+    # the inviscid reference, read once: the midpoint velocity of every pair of
+    # consecutive snapshots, shared by the ladder, and by time the whole snapshot
+    # at each evaluation time's step
     at_step = {round(t / cfg.dt): t for t in eval_times}
-    euler_u, euler_at = [], {}
+    euler_mid, euler_at = [], {}
     for s, values in snapshots(split0.plus, split0.minus, scfg_euler):
-        euler_u.append(values[2:].copy())
+        if s:
+            euler_mid.append(_average_velocity(grid, u_prev, values[2:]))
+        u_prev = values[2:]
         if s in at_step:
             euler_at[at_step[s]] = values
     # their parts' measures, shared by the ladder
@@ -335,11 +338,8 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         """Stream one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
         snapshots go with its frame, before the next leg streams."""
-        # the initial ensemble is passed on, not held here while the leg streams
-        series, kept = _stream_leg(
-            init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg),
-            euler_u, split0, replace(scfg_euler, nu=nu), at_step,
-        )
+        ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
+        series, kept = _stream_leg(ens, euler_mid, split0, replace(scfg_euler, nu=nu), at_step)
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
         leg_rows, violations = [], []
         for t in eval_times:
@@ -415,22 +415,21 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _stream_leg(ens, euler_u: list, split0, scfg: SolverConfig, at_step: dict) -> tuple:
+def _stream_leg(ens, euler_mid: list, split0, scfg: SolverConfig, at_step: dict) -> tuple:
     """Stream one viscous run from the initial parts ``split0``. The coupling
-    ``ens`` advances on the velocities averaged between consecutive snapshots,
-    the inviscid ones from ``euler_u``, one (2, n, n) array per snapshot.
-    Returns the Q series and the snapshot values at the steps of ``at_step``, by its time."""
+    ``ens`` advances in place on the midpoint velocities of consecutive
+    snapshots: the inviscid ones are ``euler_mid``, one field per interval,
+    and the viscous one is averaged into one work array. Returns the Q series
+    and the snapshot values at the steps of ``at_step``, by its time."""
     entries = [estimate_q(ens)]
     kept = {}
-    # the averaged inviscid and viscous velocities, rewritten at every step
-    mid = np.empty((2, 2) + split0.plus.values.shape)
+    mid = np.empty((2,) + split0.plus.values.shape)  # rewritten at every step
     grid = split0.plus.grid
     for i, (s, values) in enumerate(snapshots(split0.plus, split0.minus, scfg)):
         t, u_nu = s * scfg.dt, values[2:]
         if i:
-            u_mid = _average_velocity(grid, euler_u[i - 1], euler_u[i], out=mid[0])
-            unu_mid = _average_velocity(grid, u_prev, u_nu, out=mid[1])
-            ens = advance_coupling(ens, u_mid, unu_mid, scfg.nu, t - t_prev)
+            unu_mid = _average_velocity(grid, u_prev, u_nu, out=mid)
+            advance_coupling(ens, euler_mid[i - 1], unu_mid, scfg.nu, t - t_prev)
             entries.append(estimate_q(ens))
         if s in at_step:
             kept[at_step[s]] = values
@@ -464,11 +463,13 @@ def _equalize_mass(mu, nu_m):
     return mu
 
 
-def _average_velocity(grid: Grid2D, a, b, out: np.ndarray) -> VectorField2D:
-    """0.5 * (a + b) of two (2, n, n) velocity arrays, written into ``out``. The
-    field is a view of ``out`` and holds its values until ``out`` is next written."""
-    np.multiply(0.5, np.add(a, b, out=out), out=out)
-    return VectorField2D(grid, out[0], out[1])
+def _average_velocity(grid: Grid2D, a, b, out: np.ndarray | None = None) -> VectorField2D:
+    """0.5 * (a + b) of two (2, n, n) velocity arrays, written into ``out`` if
+    given, else into a new array. The field is a view of that array and holds
+    its values until the array is next written."""
+    mean = np.add(a, b, out=out)
+    np.multiply(0.5, mean, out=mean)
+    return VectorField2D(grid, mean[0], mean[1])
 
 
 def _check_chain(row: RateRow, norms0, violations, series) -> None:
@@ -535,7 +536,7 @@ def emit_report(series: RateSeries, cfg: ExperimentConfig, outdir: str | Path) -
     ]
     vvio.write_csv(out / "loglog.csv", ["log_nu", "log_err_l2_velocity", "t"], loglog_rows)
     for nu, qs in series.q_series.items():
-        vvio.write_q_csv(out / f"q_nu_{nu:.6g}.csv", qs)
+        vvio.write_q_csv(out / f"q_nu_{float(nu)!r}.csv", qs)
 
     summary = {
         "config": cfg.to_nested(),

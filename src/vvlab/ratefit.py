@@ -38,8 +38,9 @@ def fit_rate(
     ``transformed``; 95% CI by pairwise bootstrap.
 
     Rows with zero error are dropped with a warning (log undefined). A negative
-    or non-finite error, or a viscosity outside (0, inf), or (0, 1) when
-    ``transformed``, is a ValueError.
+    or non-finite error, a viscosity outside (0, inf), or (0, 1) when
+    ``transformed``, or fewer than 4 rows or 2 distinct viscosities left, is a
+    ValueError.
     """
     nus = np.asarray(list(nus), float)
     errors = np.asarray(list(errors), float)
@@ -57,6 +58,8 @@ def fit_rate(
         nus, errors = nus[keep], errors[keep]
     if len(nus) < 4:
         raise ValueError("need at least 4 positive-error rows to fit a rate")
+    if np.ptp(nus) == 0:
+        raise ValueError(f"need at least 2 distinct viscosities to fit a rate, got only {float(nus[0])!r}")
     span = nus.max() / nus.min()
     if span < 10.0:
         warnings.warn(f"nu ladder spans only {span:.2f}x (< 1 decade); fit is fragile")

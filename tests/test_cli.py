@@ -12,6 +12,8 @@ from vvlab.harness import summary_schema
 from vvlab.io import write_csv
 
 SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.yaml"
+# three rows of one time at distinct viscosities; a fourth makes them fittable
+FIT_ROWS = [(1e-2, 0.1, 0.5), (1e-3, 0.1, 0.2), (1e-4, 0.1, 0.1)]
 
 
 @pytest.fixture
@@ -232,8 +234,33 @@ class TestRunVerb:
         assert len(summary_a["lemma1"]) == 4
         assert summary_b["lemma1"] == {
             nu: c for nu, c in summary_a["lemma1"].items() if float(nu) != failing}
-        assert q_b == {name: q for name, q in q_a.items() if name != f"q_nu_{failing:.6g}.csv"}
+        assert q_b == {name: q for name, q in q_a.items() if name != f"q_nu_{failing!r}.csv"}
         assert len(q_b) == 3
+
+    def test_close_viscosities_keep_their_own_q_files(self, tiny_config, tmp_path):
+        # 9.5e-3 and 9.4999999e-3 print alike to 6 significant digits
+        ladder = [3.0e-2, 1.7e-2, 9.5e-3, 9.4999999e-3]
+        code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path),
+                     "--nu_ladder", str(ladder)])
+        assert code == EXIT_OK
+        q_files = sorted((tmp_path / "cli-tiny-seed0").glob("q_nu_*.csv"))
+        assert sorted(p.name for p in q_files) == sorted(f"q_nu_{nu!r}.csv" for nu in ladder)
+        assert len({p.read_bytes() for p in q_files}) == 4
+
+    def test_unusable_output_dir_is_config_error_before_the_run(self, tiny_config, tmp_path,
+                                                                monkeypatch, capsys):
+        import vvlab.harness as harness_mod
+
+        def no_integration(*args):
+            raise AssertionError("integration started before the output directory was made")
+
+        # the Euler reference and every leg
+        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code = main(["run", "--config", str(tiny_config), "--output", str(blocker / "out")])
+        assert code == EXIT_CONFIG
+        assert f"cannot create report directory {blocker / 'out'}" in capsys.readouterr().err
 
 
 class TestFitVerb:
@@ -278,17 +305,19 @@ class TestFitVerb:
         assert "t=0.1" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("row,message", [
-        ((1e-5, 0.1, math.inf), "errors must be finite, got [inf]"),
-        ((-1e-5, 0.1, 0.01), "viscosities must lie in (0, inf), got [-1e-05]"),
-        ((1e-5, 0.1, -0.01), "errors must be nonnegative, got [-0.01]"),
-    ], ids=["inf_error", "negative_nu", "negative_error"])
-    def test_fit_bad_row_is_config_error(self, row, message, tmp_path, capsys):
-        rows = [(1e-2, 0.1, 0.5), (1e-3, 0.1, 0.2), (1e-4, 0.1, 0.1), row]
+    @pytest.mark.parametrize("rows,message", [
+        (FIT_ROWS + [(1e-5, 0.1, math.inf)], "t=0.1: errors must be finite, got [inf]"),
+        (FIT_ROWS + [(-1e-5, 0.1, 0.01)], "t=0.1: viscosities must lie in (0, inf), got [-1e-05]"),
+        (FIT_ROWS + [(1e-5, 0.1, -0.01)], "t=0.1: errors must be nonnegative, got [-0.01]"),
+        ([(1e-3, 0.1, e) for e in (0.5, 0.4, 0.3, 0.2)],
+         "t=0.1: need at least 2 distinct viscosities to fit a rate, got only 0.001"),
+        ([], "has no data rows"),
+    ], ids=["inf_error", "negative_nu", "negative_error", "one_viscosity", "header_only"])
+    def test_fit_bad_row_is_config_error(self, rows, message, tmp_path, capsys):
         csv_path = tmp_path / "rates.csv"
         write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
         assert main(["fit", str(csv_path)]) == EXIT_CONFIG
-        assert f"t=0.1: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestCheckVerb:

@@ -397,6 +397,27 @@ class TestRunExperiment:
         assert len(euler) == 11  # steps 0 to 10
         assert alive == [len(cfg.times)]
 
+    def test_legs_step_on_one_set_of_euler_midpoints(self, monkeypatch):
+        # the S - 1 Euler midpoint velocities of S snapshots are averaged once,
+        # and every leg's coupling steps on those same fields
+        import vvlab.harness as harness_mod
+
+        real, seen = harness_mod.advance_coupling, {}
+
+        def recording(ens, u, u_nu, nu, dt):
+            seen.setdefault(nu, []).append(u)
+            return real(ens, u, u_nu, nu, dt)
+
+        monkeypatch.setattr(harness_mod, "advance_coupling", recording)
+        cfg = patch_config()
+        assert run_experiment(cfg).errors == []
+        assert list(seen) == cfg.nu_ladder
+        first = seen[cfg.nu_ladder[0]]
+        assert len({id(u) for u in first}) == len(first) == 10  # snapshots at steps 0 to 10
+        for mids in seen.values():
+            assert len(mids) == len(first)
+            assert all(a is b for a, b in zip(mids, first))
+
     def test_velocity_cross_check_is_live(self, monkeypatch):
         # a perturbed snapshot velocity no longer matches the H^-1 error of the parts
         import vvlab.harness as harness_mod
@@ -445,7 +466,7 @@ class TestRunExperiment:
                 b.err_l2_velocity, b.w1_vorticity, b.w2_split_sum)
             assert a.q_estimate == pytest.approx(b.q_estimate, rel=1e-12)
         for nu in cfg.nu_ladder:
-            name = f"q_nu_{nu:.6g}.csv"
+            name = f"q_nu_{nu!r}.csv"
             a = np.loadtxt(tmp_path / "stepper" / name, delimiter=",", skiprows=1)
             b = np.loadtxt(tmp_path / "resolved" / name, delimiter=",", skiprows=1)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)

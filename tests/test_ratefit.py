@@ -100,6 +100,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least 4"):
             fit_rate([1e-3, 1e-4, 1e-5], [1.0, 0.5, 0.25])
 
+    def test_one_viscosity_left_after_zero_rows_rejected(self):
+        with pytest.warns(UserWarning, match="zero-error"):
+            with pytest.raises(ValueError, match="2 distinct viscosities"):
+                fit_rate([1e-2] + [1e-3] * 4, [0.0, 0.5, 0.4, 0.3, 0.2])
+
     def test_narrow_ladder_warns(self):
         nus = np.array([1e-3, 1.5e-3, 2e-3, 3e-3])
         with pytest.warns(UserWarning, match="decade"):
@@ -112,8 +117,9 @@ class TestValidation:
         ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.inf, 0.01, 0.003], False, "finite, got [inf]"),
         ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, math.nan, 0.01, 0.003], False, "finite, got [nan]"),
         ([1e-2, 1e-3, 1e-4, 1e-5], [0.1, -0.01, 0.01, 0.003], False, "nonnegative, got [-0.01]"),
+        ([1e-3] * 4, [0.1, 0.03, 0.01, 0.003], False, "2 distinct viscosities to fit a rate, got only 0.001"),
     ], ids=["zero_nu", "negative_nu", "transformed_unit_nu", "inf_error", "nan_error",
-            "negative_error"])
+            "negative_error", "one_viscosity"])
     def test_bad_input_rejected_naming_the_values(self, nus, errors, transformed, named, capfd):
         # not a LAPACK failure, a NaN exponent or a dropped "zero-error" row
         with warnings.catch_warnings():
