@@ -80,12 +80,18 @@ def cmd_run(args, extra) -> int:
         apply_override(tree, path, raw)
     cfg = ExperimentConfig.from_nested(tree)
     outdir = Path(args.output or cfg.output_dir) / f"{cfg.name}-seed{cfg.seed}"
+    made = not outdir.exists()
     # before the run, so an unusable output path costs no integration
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create report directory {outdir}: {e}") from e
-    series = run_experiment(cfg)
+    try:
+        series = run_experiment(cfg)
+    except ConfigError:  # found in the run, such as bad initial data: no empty report is left
+        if made and not any(outdir.iterdir()):
+            outdir.rmdir()
+        raise
     summary = emit_report(series, cfg, outdir)
     print(f"report written to {outdir}")
     for t, fit in sorted(series.fits.items()):

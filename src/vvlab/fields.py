@@ -211,10 +211,11 @@ def torus_distance(x: np.ndarray, y: np.ndarray, length: float, work=None) -> np
 def torus_wrap(x: np.ndarray, period: float, in_place: bool = False) -> np.ndarray:
     """``x`` folded into [0, period) (``x`` itself if ``in_place``), skipped when
     every entry already lies there."""
-    if x.size and x.min() >= 0 and x.max() < period:
+    if not x.size or (x.min() >= 0 and x.max() < period):
         return x
     y = np.mod(x, period, out=x if in_place else None)
-    y[y == period] = 0.0  # np.mod(-1e-18, 1.0) rounds up to 1.0
+    if y.max() == period:  # np.mod(-1e-18, 1.0) rounds up to 1.0; the mask is rarely built
+        y[y == period] = 0.0
     return y
 
 

@@ -29,7 +29,7 @@ from vvlab.coupling import (
     init_coupling,
     lemma1_ladder_stable,
 )
-from vvlab.evolve import SolverConfig, SolverError, snapshots
+from vvlab.evolve import AprioriMonitor, SolverConfig, SolverError, snapshots
 from vvlab.fields import FieldError, Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
@@ -319,17 +319,17 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     t_end = max(eval_times)
     scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
 
-    # the inviscid reference, read once: the midpoint velocity of every pair of
-    # consecutive snapshots, shared by the ladder, and by time the whole snapshot
-    # at each evaluation time's step
+    # the inviscid reference, read once: each interval's midpoint velocity,
+    # shared by the ladder, the whole snapshot at each evaluation time's step,
+    # by time, and its a-priori violation, which opens the run's list
     at_step = {round(t / cfg.dt): t for t in eval_times}
-    euler_mid, euler_at = [], {}
-    for s, values in snapshots(split0.plus, split0.minus, scfg_euler):
-        if s:
-            euler_mid.append(_average_velocity(grid, u_prev, values[2:]))
-        u_prev = values[2:]
-        if s in at_step:
-            euler_at[at_step[s]] = values
+    euler_mid = []
+
+    def keep_midpoint(h, a, b):
+        mean = np.add(a, b)
+        euler_mid.append(VectorField2D(grid, *np.multiply(0.5, mean, out=mean)))
+
+    euler_at, invariant_violations = _stream(split0, scfg_euler, at_step, keep_midpoint)
     # their parts' measures, shared by the ladder
     euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
     method, eps = cfg.transport_method, cfg.transport_epsilon
@@ -337,11 +337,21 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     def evaluate_leg(leg: int, nu: float):
         """Stream one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
-        snapshots go with its frame, before the next leg streams."""
+        snapshots go with its frame, before the next leg streams. Its coupling
+        steps on each interval's midpoint velocities, the viscous one averaged
+        into one work array."""
         ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
-        series, kept = _stream_leg(ens, euler_mid, split0, replace(scfg_euler, nu=nu), at_step)
+        inviscid, entries, mid = iter(euler_mid), [estimate_q(ens)], np.empty((2, cfg.n, cfg.n))
+
+        def advance(h, u_prev, u):
+            np.multiply(0.5, np.add(u_prev, u, out=mid), out=mid)
+            advance_coupling(ens, next(inviscid), VectorField2D(grid, *mid), nu, h)
+            entries.append(estimate_q(ens))
+
+        kept, violations = _stream(split0, replace(scfg_euler, nu=nu), at_step, advance)
+        series = QSeries(entries=entries)
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
-        leg_rows, violations = [], []
+        leg_rows = []
         for t in eval_times:
             values, ref = kept[t], euler_at[t]
             err_hm1 = _hm1_error(grid, values, ref)
@@ -373,7 +383,6 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     rows: list[RateRow] = []
     q_series: dict[float, QSeries] = {}
     lemma1_fits: dict[float, float] = {}
-    invariant_violations: list[str] = []
     leg_errors: list = []
     for leg, nu in enumerate(cfg.nu_ladder):
         # a failed leg contributes nothing: its results are kept only once it ends
@@ -415,26 +424,25 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _stream_leg(ens, euler_mid: list, split0, scfg: SolverConfig, at_step: dict) -> tuple:
-    """Stream one viscous run from the initial parts ``split0``. The coupling
-    ``ens`` advances in place on the midpoint velocities of consecutive
-    snapshots: the inviscid ones are ``euler_mid``, one field per interval,
-    and the viscous one is averaged into one work array. Returns the Q series
-    and the snapshot values at the steps of ``at_step``, by its time."""
-    entries = [estimate_q(ens)]
-    kept = {}
-    mid = np.empty((2,) + split0.plus.values.shape)  # rewritten at every step
-    grid = split0.plus.grid
-    for i, (s, values) in enumerate(snapshots(split0.plus, split0.minus, scfg)):
-        t, u_nu = s * scfg.dt, values[2:]
-        if i:
-            unu_mid = _average_velocity(grid, u_prev, u_nu, out=mid)
-            advance_coupling(ens, euler_mid[i - 1], unu_mid, scfg.nu, t - t_prev)
-            entries.append(estimate_q(ens))
+def _stream(split0, scfg: SolverConfig, at_step: dict, interval) -> tuple:
+    """Read one run of :func:`snapshots` from the initial parts ``split0`` once.
+    Calls ``interval(h, u_prev, u)`` with the length and the end velocities of
+    each interval between consecutive snapshots, and checks the a-priori bounds
+    on every snapshot. Returns the snapshots at the steps of ``at_step``, by its
+    time, and the run's a-priori violations (at most one)."""
+    monitor, kept = AprioriMonitor(scfg.nu), {}
+    for s, values in snapshots(split0.plus, split0.minus, scfg):
+        t = s * scfg.dt
+        monitor.feed(t, values)
+        if s:
+            interval(t - t_prev, u_prev, values[2:])
         if s in at_step:
             kept[at_step[s]] = values
-        t_prev, u_prev = t, u_nu
-    return QSeries(entries=entries), kept
+        t_prev, u_prev = t, values[2:]
+    drift, what, t = monitor.worst
+    if drift <= monitor.TOL:
+        return kept, []
+    return kept, [f"nu={scfg.nu} t={t:.6g}: a-priori {what} drift {drift:.3e} exceeds {monitor.TOL}"]
 
 
 def _part_measures(grid: Grid2D, values, max_support: int) -> list:
@@ -461,15 +469,6 @@ def _equalize_mass(mu, nu_m):
     if len(mu) and len(nu_m) and nu_m.total_mass > 0:
         return mu.scaled(nu_m.total_mass / mu.total_mass)
     return mu
-
-
-def _average_velocity(grid: Grid2D, a, b, out: np.ndarray | None = None) -> VectorField2D:
-    """0.5 * (a + b) of two (2, n, n) velocity arrays, written into ``out`` if
-    given, else into a new array. The field is a view of that array and holds
-    its values until the array is next written."""
-    mean = np.add(a, b, out=out)
-    np.multiply(0.5, mean, out=mean)
-    return VectorField2D(grid, mean[0], mean[1])
 
 
 def _check_chain(row: RateRow, norms0, violations, series) -> None:

@@ -150,6 +150,18 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_config_error_in_the_run_leaves_no_report_directory(self, existed, tmp_path):
+        # bad initial data is found inside the run, after the directory is made;
+        # only a directory the run made is removed
+        outdir = tmp_path / "smoke-seed0"
+        if existed:
+            outdir.mkdir()
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path),
+                     "--initial_data.params.radius", "-1"])
+        assert code == EXIT_CONFIG
+        assert outdir.is_dir() == existed
+
     @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
     def test_non_mapping_config_is_config_error(self, extra, tmp_path):
         p = tmp_path / "list.yaml"

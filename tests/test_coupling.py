@@ -318,3 +318,18 @@ class TestAllocationFree:
         peak, est = self.traced_peak(lambda: estimate_q(new))
         assert est.q > 0
         assert peak <= small, f"{peak} bytes"
+
+    def test_step_across_the_torus_edge(self):
+        # particles started in [0.99, 1)^2 cross the edge at every step, and
+        # folding them back builds no mask of the particle count
+        from vvlab.fields import biot_savart
+
+        w0 = patch_data()
+        u = biot_savart(w0)
+        ens = init_coupling(w0, 20000, rng_seed=2)
+        ens.x[:] = ens.y[:] = np.random.default_rng(5).uniform(0.99, 1.0, ens.x.shape)
+        advance_coupling(ens, u, u, nu=1e-3, dt=1e-3)
+        before = ens.y.copy()
+        peak, _ = self.traced_peak(lambda: advance_coupling(ens, u, u, nu=1e-3, dt=1e-3))
+        assert (np.abs(ens.y - before) > 0.5).any()  # some particle wrapped
+        assert peak <= 8192, f"{peak} bytes"

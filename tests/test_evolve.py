@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vvlab import evolve
-from vvlab.evolve import AprioriReport, SolverConfig, SolverError, check_apriori, run_split
+from vvlab.evolve import AprioriMonitor, SolverConfig, SolverError, run_split
 from vvlab.fields import Grid2D, NotMeanZeroError, ScalarField2D, biot_savart, norms
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.transport import split_signed
@@ -204,50 +204,79 @@ class TestSplitRun:
             assert np.abs(u.u2 - ref.u2).max() <= 1e-13 * scale
 
 
+def monitored(omega, cfg):
+    """An AprioriMonitor fed every snapshot of the split run of ``omega``, and
+    those snapshots as (t, values)."""
+    sp = split_signed(omega)
+    monitor = AprioriMonitor(cfg.nu)
+    fed = [(s * cfg.dt, values) for s, values in evolve.snapshots(sp.plus, sp.minus, cfg)]
+    for t, values in fed:
+        monitor.feed(t, values)
+    return monitor, fed
+
+
 class TestApriori:
     def test_taylor_green_decay_rate(self, grid64, tg64):
+        # L1 and Linf fall with viscosity, which is no drift
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=0.5, record_every=100)
-        tr = split_run(tg64, cfg)
+        monitor, fed = monitored(tg64, cfg)
         rate = taylor_green_decay_rate(grid64, 0.01)
-        for t, m in zip(tr.times, monitors(tr)):
-            assert m.linf == pytest.approx(2.0 * math.exp(-rate * t), rel=1e-6)
-        assert check_apriori(tr).ok
+        for t, values in fed:
+            linf = np.abs(values[0] - values[1]).max()
+            assert linf == pytest.approx(2.0 * math.exp(-rate * t), rel=1e-6)
+        assert len(fed) == 6
+        assert monitor.worst[0] <= AprioriMonitor.TOL
 
     def test_euler_flat(self, grid64):
         w = random_mean_zero_field(grid64, 5)
-        tr = split_run(w, SolverConfig(nu=0.0, dt=2e-3, t_end=0.05, record_every=5))
-        rep = check_apriori(tr, tol=1e-2)
-        assert rep.ok
+        monitor, _ = monitored(w, SolverConfig(nu=0.0, dt=2e-3, t_end=0.05, record_every=5))
+        assert monitor.worst[0] <= AprioriMonitor.TOL
 
     def test_injected_violation_located(self, grid64, tg64):
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=0.01, record_every=5)
-        tr = split_run(tg64, cfg)
-        tr.plus.append(ScalarField2D(grid64, 3.0 * tr.plus[-1].values))
-        tr.minus.append(ScalarField2D(grid64, 3.0 * tr.minus[-1].values))
-        tr.times.append(tr.times[-1] + cfg.dt)
-        rep = check_apriori(tr)
-        assert not rep.ok
-        assert rep.worst_index == len(tr.times) - 1
+        monitor, fed = monitored(tg64, cfg)
+        t, values = fed[-1]
+        monitor.feed(t + cfg.dt, 3.0 * values)
+        drift, _, at = monitor.worst
+        assert drift > AprioriMonitor.TOL
+        assert at == t + cfg.dt
+
+    @pytest.mark.parametrize("nu", [0.0, 0.01])
+    def test_a_fall_counts_only_without_viscosity(self, grid32, nu):
+        # both parts replaced by their mean keep their masses (the field has
+        # mean zero) and zero the field: L1 and Linf fall by all of it
+        monitor, fed = monitored(random_mean_zero_field(grid32, 3),
+                                 SolverConfig(nu=nu, dt=2e-3, t_end=0.004, record_every=1))
+        t, values = fed[-1]
+        mean = 0.5 * (values[0] + values[1])
+        monitor.feed(t + 2e-3, np.stack([mean, mean, values[2], values[3]]))
+        drift, what, _ = monitor.worst
+        if nu == 0:
+            assert drift == pytest.approx(1.0) and what in ("L1", "Linf")
+        else:
+            assert drift <= AprioriMonitor.TOL
+
+    def test_zero_field_has_no_drift(self, grid32):
+        monitor = AprioriMonitor(0.0)
+        for t in (0.0, 0.1):
+            monitor.feed(t, np.zeros((4, grid32.n, grid32.n)))
+        assert monitor.worst[0] == 0.0
 
     def test_computes_no_hm1_norm(self, grid32, monkeypatch):
-        # the margins are those of fields.norms, which computes no H^-1 norm
+        # the drifts are those of fields.norms and the parts' sums, and no H^-1
+        # norm is computed for them
         from vvlab import fields
 
-        tr = split_run(random_mean_zero_field(grid32, 3),
-                       SolverConfig(nu=0.01, dt=2e-3, t_end=0.01, record_every=1))
-        ref = monitors(tr)
         calls = []
         monkeypatch.setattr(fields, "hm1_norm", calls.append)
-        rep = check_apriori(tr)
+        monitor, fed = monitored(random_mean_zero_field(grid32, 3),
+                                 SolverConfig(nu=0.01, dt=2e-3, t_end=0.01, record_every=1))
         assert calls == []
-        assert rep.l1_margin == max(m.l1 / ref[0].l1 - 1.0 for m in ref)
-        assert rep.linf_margin == max(m.linf / ref[0].linf - 1.0 for m in ref)
-
-    def test_needs_two_snapshots(self, tg64):
-        tr = split_run(tg64, SolverConfig(nu=0.0, dt=1e-3, t_end=0.0))
-        assert tr.times == [0.0]
-        with pytest.raises(ValueError):
-            check_apriori(tr)
+        ref = [(norms(ScalarField2D(grid32, v[0] - v[1])), v[0].sum(), v[1].sum()) for _, v in fed]
+        m0, p0, q0 = ref[0]
+        expected = max(max(abs(p / p0 - 1.0), abs(q / q0 - 1.0), m.l1 / m0.l1 - 1.0,
+                           m.linf / m0.linf - 1.0) for m, p, q in ref)
+        assert monitor.worst[0] == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 # Reference: the complex-FFT IFRK4 that the half-spectrum kernel replaced,

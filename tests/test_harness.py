@@ -438,6 +438,29 @@ class TestRunExperiment:
         assert len(flagged) == 1
         assert flagged[0].startswith(f"nu={perturbed} t=0.025: |u-velocity L2 - vorticity H^-1|")
 
+    @pytest.mark.parametrize("run", ["euler", "leg"])
+    def test_apriori_check_is_live(self, monkeypatch, run):
+        # one snapshot's plus part scaled by 1.02 drifts that run's mass by 2e-2,
+        # an invariant violation of its run, not a leg error
+        import vvlab.harness as harness_mod
+
+        real = harness_mod.snapshots
+        cfg = patch_config(times=[0.025, 0.05])
+        scaled = 0.0 if run == "euler" else cfg.nu_ladder[2]
+
+        def scaling(plus, minus, scfg):
+            for s, values in real(plus, minus, scfg):
+                if scfg.nu == scaled and s == 3:
+                    values[0] *= 1.02
+                yield s, values
+
+        monkeypatch.setattr(harness_mod, "snapshots", scaling)
+        series = run_experiment(cfg)
+        assert series.errors == []
+        flagged = [v for v in series.invariant_violations if "a-priori" in v]
+        assert len(flagged) == 1
+        assert flagged[0].startswith(f"nu={scaled} t=0.015: a-priori ")
+
     def test_q_agrees_with_biot_savart_velocities(self, monkeypatch, tmp_path):
         # the coupling driven by velocities re-solved from each snapshot, as
         # before the stepper handed out its own

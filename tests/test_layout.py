@@ -16,11 +16,10 @@ import vvlab
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vvlab"
 
-# Public definitions that no program code calls, kept on purpose.
-# check_apriori reads split runs, and an open ROADMAP item (2) puts its L1/Linf
-# drift into the run diagnostics. biot_savart is the independent reference that
-# the stepper's snapshot velocities are tested against, and the bench times it.
-UNUSED_ALLOWED = {"check_apriori", "biot_savart"}
+# Public definitions that no program code calls, kept on purpose. biot_savart
+# is the independent reference that the stepper's snapshot velocities are
+# tested against, and the bench times it.
+UNUSED_ALLOWED = {"biot_savart"}
 
 
 def private_imports(path: Path):
