@@ -369,9 +369,9 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
             w1_sum = w2_sum = 0.0
             for part, twin in zip(_part_measures(grid, values, cfg.max_support),
                                   euler_measures[t]):
-                part = _equalize_mass(part, twin)
-                w2_sum += distance(part, twin, 2, method, eps)
-                w1_sum += distance(part, twin, 1, method, eps)
+                w1, w2 = distance(_equalize_mass(part, twin), twin, method, eps)
+                w2_sum += w2
+                w1_sum += w1
             q_at_t = float(np.interp(t, series.times, series.q))
             leg_rows.append(RateRow(
                 nu=nu, t=t, err_l2_velocity=err_hm1, w1_vorticity=w1_sum,

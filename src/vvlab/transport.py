@@ -1,8 +1,8 @@
 """Wasserstein distances between discrete measures on the torus.
 
-:func:`distance` is the one entry point for experiment runs: it selects the
-exact or the Sinkhorn route by name. The routes behind it are cross-checked
-against each other:
+:func:`distance` is the one entry point for experiment runs: it returns W1 and
+W2 of one pair by the exact or the Sinkhorn route, selected by name. The
+routes behind it are cross-checked against each other:
 
 * an exact linear-programming solver for supports of up to 4096 atoms, solved
   by column generation: the LP runs on a sparse set of active pairs and the
@@ -10,7 +10,9 @@ against each other:
   shortlist idea of Gottschlich & Schuhmacher, 2014). Each call holds one
   model on SciPy's vendored HiGHS binding (imported on first use; an exact
   run's config loads it): entering pairs join it as columns and every round
-  after the first re-solves from the last optimal basis,
+  after the first re-solves from the last optimal basis. A call for several
+  orders solves them in turn on that model: W1 after W2 re-prices W2's
+  columns and goes on from its optimal basis,
 * a brute-force assignment enumeration used as the test oracle,
 * a Sinkhorn iteration with epsilon-scaling, debiased into the Sinkhorn
   divergence (Feydy et al., AISTATS 2019). It iterates on scalings u, v of a
@@ -173,8 +175,8 @@ def _check_order(p: int) -> None:
 
 
 def wasserstein_exact(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: int = 2
-) -> tuple[float, TransportPlan]:
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p: int | tuple = 2
+) -> tuple[float, TransportPlan] | list[tuple[float, TransportPlan]]:
     """Exact optimal transport by column generation over the full cost matrix.
 
     The LP is solved on a sparse set of active pairs: each atom's nearest
@@ -189,8 +191,17 @@ def wasserstein_exact(
     by primal simplex from the previous optimal basis, which stays feasible.
     A solve that ends without an optimum is redone once from scratch with
     presolve on before it raises a TransportError.
+
+    ``p`` may be a tuple of orders: then one ``(dist, plan)`` per order comes
+    back, solved in that order on the same model. Each later order re-prices
+    the columns to its costs and goes on by primal simplex from the previous
+    order's optimal basis, which a change of costs leaves feasible. Its active
+    set starts as the previous one, which holds its nearest partners too: d and
+    d^p order every line alike.
     """
-    _check_order(p)
+    orders = p if isinstance(p, tuple) else (p,)
+    for q in orders:
+        _check_order(q)
     _check_mass_equality(mu, nu)
     m, k = len(mu), len(nu)
     if m + k > 4096:
@@ -199,34 +210,43 @@ def wasserstein_exact(
             "use wasserstein_sinkhorn"
         )
     if m == 0 or k == 0:
-        return 0.0, TransportPlan(pairs=[], cost=0.0, order=p)
-    C = cost_matrix(mu, nu, p)
+        solved = [(0.0, TransportPlan(pairs=[], cost=0.0, order=q)) for q in orders]
+        return solved if isinstance(p, tuple) else solved[0]
+    d = cost_matrix(mu, nu, 1)
     # normalize to unit mass: tiny atom weights otherwise trip HiGHS presolve
     mass = mu.total_mass
     a, b = mu.weights / mass, nu.weights / mass
-    active = _smallest_per_line(C) | _corner_support(mu, nu)
-    tol = PRICING_RTOL * max(float(C.max()), 1e-300)
     lp = _RestrictedLP(a, b)
-    entering = np.flatnonzero(active)
-    while True:
-        lp.add(entering, C.ravel()[entering])
-        x, duals = lp.solve()
-        # the dropped last column constraint carries potential 0
-        f, g = duals[:m], np.append(duals[m:], 0.0)
-        reduced = C - f[:, None] - g[None, :]
-        reduced[active] = np.inf
-        entering = np.flatnonzero(_smallest_per_line(reduced) & (reduced < -tol))
-        if not len(entering):
-            break
-        active.ravel()[entering] = True
-    # the plan in pair order, as the active mask lists it
-    order = np.argsort(lp.pairs)
-    idx, x = lp.pairs[order], x[order] * mass
-    cost = float(np.sum(x * C.ravel()[idx]))
-    nz = np.flatnonzero(x > 1e-14 * max(mu.total_mass, 1e-300))
-    pairs = [(int(idx[n] // k), int(idx[n] % k), float(x[n])) for n in nz]
-    dist = cost ** (1.0 / p)
-    return dist, TransportPlan(pairs=pairs, cost=cost, order=p)
+    solved, reduced = [], np.empty((m, k))  # reduced costs, rewritten each round
+    for n, q in enumerate(orders):
+        C = d if q == 1 else d ** q
+        if n == 0:
+            active = _smallest_per_line(C) | _corner_support(mu, nu)
+            entering = np.flatnonzero(active)
+            lp.add(entering, C.ravel()[entering])
+        else:
+            lp.reprice(C.ravel()[lp.pairs])
+        tol = PRICING_RTOL * max(float(C.max()), 1e-300)
+        while True:
+            x, duals = lp.solve()
+            # the dropped last column constraint carries potential 0
+            f, g = duals[:m], np.append(duals[m:], 0.0)
+            np.subtract(C, f[:, None], out=reduced)
+            reduced -= g[None, :]
+            reduced[active] = np.inf
+            entering = np.flatnonzero(_entering(reduced, tol))
+            if not len(entering):
+                break
+            active.ravel()[entering] = True
+            lp.add(entering, C.ravel()[entering])
+        # the plan in pair order, as the active mask lists it
+        order = np.argsort(lp.pairs)
+        idx, x = lp.pairs[order], x[order] * mass
+        cost = float(np.sum(x * C.ravel()[idx]))
+        nz = np.flatnonzero(x > 1e-14 * max(mu.total_mass, 1e-300))
+        pairs = [(int(idx[e] // k), int(idx[e] % k), float(x[e])) for e in nz]
+        solved.append((cost ** (1.0 / q), TransportPlan(pairs=pairs, cost=cost, order=q)))
+    return solved if isinstance(p, tuple) else solved[0]
 
 
 def _smallest_per_line(M: np.ndarray) -> np.ndarray:
@@ -238,6 +258,28 @@ def _smallest_per_line(M: np.ndarray) -> np.ndarray:
     rows, cols = np.arange(m)[:, None], np.arange(k)[None, :]
     mask[rows, np.argpartition(M, NEIGHBOURS - 1, axis=1)[:, :NEIGHBOURS]] = True
     mask[np.argpartition(M, NEIGHBOURS - 1, axis=0)[:NEIGHBOURS], cols] = True
+    return mask
+
+
+def _entering(reduced: np.ndarray, tol: float) -> np.ndarray:
+    """``_smallest_per_line(reduced) & (reduced < -tol)``, partitioning only the
+    lines that hold more than NEIGHBOURS entries below -tol.
+
+    A line with at most NEIGHBOURS such entries has them all among its
+    NEIGHBOURS smallest, and a line with more has only such entries there.
+    """
+    neg = reduced < -tol
+    m, k = neg.shape
+    if k <= NEIGHBOURS or m <= NEIGHBOURS:
+        return neg
+    per_row, per_col = neg.sum(axis=1), neg.sum(axis=0)
+    mask = neg & ((per_row <= NEIGHBOURS)[:, None] | (per_col <= NEIGHBOURS)[None, :])
+    rows = np.flatnonzero(per_row > NEIGHBOURS)
+    nearest = np.argpartition(reduced[rows], NEIGHBOURS - 1, axis=1)[:, :NEIGHBOURS]
+    mask[rows[:, None], nearest] = True
+    cols = np.flatnonzero(per_col > NEIGHBOURS)
+    nearest = np.argpartition(reduced[:, cols], NEIGHBOURS - 1, axis=0)[:NEIGHBOURS]
+    mask[nearest, cols[None, :]] = True
     return mask
 
 
@@ -315,6 +357,11 @@ class _RestrictedLP:
         starts = (np.cumsum(count) - count).astype(np.int32)
         self.highs.addCols(n, c, np.zeros(n), np.full(n, np.inf), len(index), starts,
                            index, np.ones(len(index)))
+
+    def reprice(self, c: np.ndarray) -> None:
+        """Give the columns, in the order of ``pairs``, the costs c; the basis stays."""
+        n = len(c)
+        self.highs.changeColsCost(n, np.arange(n, dtype=np.int32), c)
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Optimal plan over the current columns and the row duals."""
@@ -468,14 +515,17 @@ def _self_cost(meas: DiscreteMeasure, p, eps) -> float:
 
 
 def distance(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p: int, method: str, epsilon: float
-) -> float:
-    """W_p of two equal-mass measures: ``method`` "exact" is :func:`wasserstein_exact`,
-    "sinkhorn" the debiased :func:`wasserstein_sinkhorn` at ``epsilon``."""
+    mu: DiscreteMeasure, nu: DiscreteMeasure, method: str, epsilon: float
+) -> tuple[float, float]:
+    """(W1, W2) of two equal-mass measures: ``method`` "exact" solves both on one
+    model, :func:`wasserstein_exact` with p=(2, 1); "sinkhorn" is the debiased
+    :func:`wasserstein_sinkhorn` at ``epsilon``, W2 first."""
     if method == "exact":
-        return wasserstein_exact(mu, nu, p=p)[0]
+        (w2, _), (w1, _) = wasserstein_exact(mu, nu, p=(2, 1))
+        return w1, w2
     if method == "sinkhorn":
-        return wasserstein_sinkhorn(mu, nu, p=p, epsilon=epsilon)
+        w2 = wasserstein_sinkhorn(mu, nu, p=2, epsilon=epsilon)
+        return wasserstein_sinkhorn(mu, nu, p=1, epsilon=epsilon), w2
     raise TransportError(f"unknown transport method {method!r}")
 
 
@@ -528,9 +578,9 @@ class InequalityReport:
 
 
 def check_order_w1_w2(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """W1 <= mass^(1/2) W2 on exact solver outputs (Jensen ordering), to 1e-8."""
-    w1, _ = wasserstein_exact(mu, nu, p=1)
-    w2, _ = wasserstein_exact(mu, nu, p=2)
+    """W1 <= mass^(1/2) W2 on exact solver outputs (Jensen ordering), to 1e-8.
+    Both orders are solved on one model."""
+    (w2, _), (w1, _) = wasserstein_exact(mu, nu, p=(2, 1))
     rhs = math.sqrt(mu.total_mass) * w2
     return InequalityReport(lhs=w1, rhs=rhs, slack=rhs - w1, ok=(rhs - w1) >= -1e-8)
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -262,12 +263,12 @@ class TestRunExperiment:
 
         cfg = patch_config(times=[0.025, 0.05])
         real, calls = harness_mod.distance, []
-        # 4 distances per (nu, t): the second leg's second time starts at call 12
+        # 2 distances per (nu, t): the second leg's second time starts at call 7
         doomed = cfg.nu_ladder[1]
 
         def flaky(*args):
             calls.append(args)
-            if len(calls) == 13:
+            if len(calls) == 7:
                 raise TransportError("synthetic failure")
             return real(*args)
 
@@ -278,6 +279,26 @@ class TestRunExperiment:
         assert len(series.rows) == 2 * (len(cfg.nu_ladder) - 1)
         assert doomed not in series.q_series and doomed not in series.lemma1
         assert len(series.lemma1) == len(cfg.nu_ladder) - 1
+
+    def test_one_distance_call_per_part_and_twin(self, monkeypatch):
+        import vvlab.harness as harness_mod
+
+        cfg = small_config(times=[0.02, 0.05])
+        real, calls = harness_mod.distance, []
+
+        def counting(mu, nu, method, epsilon):
+            calls.append((mu, nu))  # held, so no id is reused
+            return real(mu, nu, method, epsilon)
+
+        monkeypatch.setattr(harness_mod, "distance", counting)
+        series = run_experiment(cfg)
+        assert series.errors == []
+        # the plus and the minus part of each (nu, t) row, each against its twin
+        assert len(calls) == 2 * len(series.rows) == 2 * 2 * len(cfg.nu_ladder)
+        assert len({(id(mu), id(nu)) for mu, nu in calls}) == len(calls)
+        # each Euler twin serves one call per leg
+        twins = collections.Counter(id(nu) for _, nu in calls)
+        assert sorted(twins.values()) == [len(cfg.nu_ladder)] * 4
 
     def test_programming_error_in_leg_is_fatal(self, monkeypatch):
         # a bug is not a numerical failure: it must fail the run, not become a leg error
@@ -593,6 +614,32 @@ class TestRegressionPin:
 
     def test_fitted_exponent(self, patch_series):
         assert patch_series.fits[0.05].exponent == pytest.approx(self.EXPONENT, rel=1e-9, abs=0)
+
+
+class TestExactRegressionPin:
+    """The patch sweep's exact W1 and W2 columns, as separate cold LPs per order
+    gave them.
+
+    Both orders now share one LP model, W1 re-priced from W2's optimal basis;
+    it may end on another optimal basis, whose cost sums in another order, so
+    the columns must agree to 1e-12 relative.
+    """
+
+    # nu -> (w1_vorticity, w2_split_sum) at t = 0.05
+    COLUMNS = {
+        3e-2: (0.0016367289236037617, 0.0114684698979291),
+        1.7e-2: (0.0009852641399372211, 0.008860033917890536),
+        9.5e-3: (0.0005685162077053864, 0.006709010902270936),
+        5.3e-3: (0.00032195734088264014, 0.005042882471038686),
+    }
+
+    def test_transport_columns(self, patch_series):
+        assert patch_series.errors == []
+        got = {r.nu: (r.w1_vorticity, r.w2_split_sum) for r in patch_series.rows}
+        assert got.keys() == self.COLUMNS.keys()
+        for nu, (w1, w2) in self.COLUMNS.items():
+            assert got[nu][0] == pytest.approx(w1, rel=1e-12, abs=0)
+            assert got[nu][1] == pytest.approx(w2, rel=1e-12, abs=0)
 
 
 @pytest.fixture(scope="module")

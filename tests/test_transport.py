@@ -181,6 +181,8 @@ class TestExactSolver:
         mu, nu = random_pair(0)
         with pytest.raises(TransportError, match="p="):
             wasserstein_exact(mu, nu, p=3)
+        with pytest.raises(TransportError, match="p=3"):
+            wasserstein_exact(mu, nu, p=(2, 3))
 
 
 def dense_lp_distance(mu, nu, p):
@@ -226,8 +228,23 @@ def count_lp_solves(monkeypatch):
     return calls
 
 
-def assert_matches_dense(mu, nu, p, rel=1e-9):
-    d, plan = wasserstein_exact(mu, nu, p=p)
+def tied_lattices(side=10):
+    """A unit-weight lattice against itself moved half a cell along x, where
+    every atom has two nearest targets at equal cost, and the lattice against
+    itself under a weight ramp and its reverse."""
+    x = (np.arange(side) + 0.5) / side
+    pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    w = np.ones(side * side)
+    ramp = np.linspace(1.0, 2.0, side * side)
+    return (
+        (DiscreteMeasure(pts, w, 1.0), DiscreteMeasure(pts + [0.5 / side, 0.0], w, 1.0)),
+        (DiscreteMeasure(pts, ramp, 1.0), DiscreteMeasure(pts, ramp[::-1].copy(), 1.0)),
+    )
+
+
+def assert_matches_dense(mu, nu, p, rel=1e-9, solved=None):
+    """Check a (dist, plan) of order p, by default a fresh solve, against the dense LP."""
+    d, plan = solved or wasserstein_exact(mu, nu, p=p)
     assert d == pytest.approx(dense_lp_distance(mu, nu, p), rel=rel, abs=1e-15)
     row, col = plan.marginals(len(mu), len(nu))
     np.testing.assert_allclose(row, mu.weights, rtol=1e-8, atol=1e-14 * mu.total_mass)
@@ -290,19 +307,10 @@ class TestColumnGeneration:
 
     def test_w1_lattice_with_tied_costs(self):
         # lattice-to-lattice W1 has many optimal plans and many tied costs
-        side = 10
-        x = (np.arange(side) + 0.5) / side
-        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-        w = np.ones(side * side)
-        # half a cell along x: every atom has two nearest targets at equal cost
-        mu = DiscreteMeasure(pts, w, 1.0)
-        nu = DiscreteMeasure(pts + [0.5 / side, 0.0], w, 1.0)
+        (mu, nu), ramped = tied_lattices()
         d, _ = assert_matches_dense(mu, nu, 1)
-        assert d == pytest.approx(w.sum() * 0.5 / side, rel=1e-9)
-        ramp = np.linspace(1.0, 2.0, side * side)
-        assert_matches_dense(
-            DiscreteMeasure(pts, ramp, 1.0), DiscreteMeasure(pts, ramp[::-1].copy(), 1.0), 1
-        )
+        assert d == pytest.approx(mu.total_mass * 0.05, rel=1e-9)
+        assert_matches_dense(*ramped, 1)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_patch_pair_at_smoke_size(self, p):
@@ -326,7 +334,111 @@ class TestColumnGeneration:
     @pytest.mark.parametrize("p", [1, 2])
     def test_distance_is_the_exact_route(self, seed, p):
         mu, nu = unequal_pair(seed, 40, 30)
-        assert transport.distance(mu, nu, p, "exact", 1e-4) == wasserstein_exact(mu, nu, p=p)[0]
+        got = transport.distance(mu, nu, "exact", 1e-4)[p - 1]
+        assert got == wasserstein_exact(mu, nu, p=(2, 1))[2 - p][0]
+        assert got == pytest.approx(wasserstein_exact(mu, nu, p=p)[0], rel=1e-12, abs=0)
+
+
+class TestSharedModel:
+    """Both orders of one pair on one LP model, the later re-priced from the
+    earlier one's optimal basis."""
+
+    @pytest.mark.parametrize("orders", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_orders_agree_with_separate_calls(self, seed, orders):
+        mu, nu = unequal_pair(seed, 50 + 20 * seed, 60)
+        shared = wasserstein_exact(mu, nu, p=orders)
+        assert [plan.order for _, plan in shared] == list(orders)
+        for q, solved in zip(orders, shared):
+            assert solved[0] == pytest.approx(wasserstein_exact(mu, nu, p=q)[0], rel=1e-12, abs=0)
+            assert_matches_dense(mu, nu, q, solved=solved)
+
+    def test_w1_after_w2_on_the_tied_lattices(self):
+        for mu, nu in tied_lattices():
+            w2, w1 = wasserstein_exact(mu, nu, p=(2, 1))
+            assert_matches_dense(mu, nu, 2, solved=w2)
+            assert_matches_dense(mu, nu, 1, solved=w1)
+            assert w1[0] == pytest.approx(wasserstein_exact(mu, nu, p=1)[0], rel=1e-12)
+
+    def test_one_model_serves_both_orders(self, monkeypatch):
+        solves = count_lp_solves(monkeypatch)
+        iterations, repriced = [], []
+        counted, reprice = transport._RestrictedLP.solve, transport._RestrictedLP.reprice
+
+        def iterating(lp):
+            out = counted(lp)
+            iterations.append(lp.highs.getInfo().simplex_iteration_count)
+            return out
+
+        def repricing(lp, c):
+            reprice(lp, c)
+            repriced.append((len(solves), lp.highs.getBasis().valid))
+
+        monkeypatch.setattr(transport._RestrictedLP, "solve", iterating)
+        monkeypatch.setattr(transport._RestrictedLP, "reprice", repricing)
+        mu, nu = unequal_pair(7, 90, 60)
+        wasserstein_exact(mu, nu, p=(2, 1))
+        [(w2_rounds, basis_kept)] = repriced
+        w2_solves, w1_solves = solves[:w2_rounds], solves[w2_rounds:]
+        assert w2_solves and w1_solves
+        assert len({id(lp) for lp, _ in solves}) == 1
+        # W1 starts on W2's final columns, from its optimal basis
+        assert basis_kept
+        assert w1_solves[0][1] == w2_solves[-1][1]
+        # far fewer simplex iterations than W1's cold first round
+        warm, cold_first = iterations[w2_rounds], len(iterations)
+        wasserstein_exact(mu, nu, p=1)
+        assert warm < iterations[cold_first] / 2
+
+    def test_empty_supports_give_every_order(self):
+        empty = DiscreteMeasure(np.zeros((0, 2)), np.zeros(0), 1.0)
+        got = wasserstein_exact(empty, empty, p=(2, 1))
+        assert [(d, plan.order, plan.pairs) for d, plan in got] == [(0.0, 2, []), (0.0, 1, [])]
+
+
+def dense_entering(reduced, tol):
+    """The entering rule over the whole matrix: the NEIGHBOURS smallest entries
+    of every row and column, those below -tol."""
+    return transport._smallest_per_line(reduced) & (reduced < -tol)
+
+
+class TestEntering:
+    @pytest.mark.parametrize("kind", ["ties", "floats"])
+    @pytest.mark.parametrize("shape", [(40, 30), (9, 50), (50, 9), (8, 30), (30, 8),
+                                       (1, 1), (3, 5), (60, 60)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_rule(self, seed, shape, kind):
+        rng = np.random.default_rng(seed)
+        m, k = shape
+        if kind == "ties":
+            # small integers tie at and around every line's NEIGHBOURS-th entry;
+            # an entry of exactly -tol does not enter
+            reduced = rng.integers(-3 - 4 * seed, 12, size=shape).astype(float)
+        else:
+            reduced = rng.normal(2.0 - seed, 3.0, size=shape)
+        # lines without a negative entry, and pairs already active
+        reduced[rng.random(m) < 0.3] = 5.0
+        reduced[:, rng.random(k) < 0.3] = 5.0
+        reduced[rng.random(shape) < 0.2] = np.inf
+        want = dense_entering(reduced, 1.0)
+        np.testing.assert_array_equal(transport._entering(reduced, 1.0), want)
+
+    def test_partitions_only_lines_with_more_than_neighbours_entering(self, monkeypatch):
+        reduced = np.ones((40, 30))
+        reduced[3, :12] = reduced[17, 5:25] = -2.0  # two rows with more than 8
+        reduced[20:24, 0] = -2.0  # a column with 4 more, plus row 3's
+        partitioned, real = [], np.argpartition
+
+        def recording(a, *args, **kwargs):
+            partitioned.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(transport.np, "argpartition", recording)
+        got = transport._entering(reduced, 1e-12)
+        monkeypatch.undo()
+        # the two rows with more than NEIGHBOURS entering, and no column
+        assert partitioned == [(2, 30), (40, 0)]
+        np.testing.assert_array_equal(got, dense_entering(reduced, 1e-12))
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -420,8 +532,8 @@ class TestSinkhorn:
         want = wasserstein_sinkhorn(mu, nu, p=p, epsilon=1e-3)
         # fresh measures, so the self-terms are solved again rather than recalled
         fresh = random_pair(seed, m=12, equal_weights=False)
-        assert transport.distance(*fresh, p, "sinkhorn", 1e-3) == want
-        assert transport.distance(*fresh, p, "sinkhorn", 1e-3) == want
+        assert transport.distance(*fresh, "sinkhorn", 1e-3)[p - 1] == want
+        assert transport.distance(*fresh, "sinkhorn", 1e-3)[p - 1] == want
 
     def test_self_terms_memoised_per_measure(self, monkeypatch):
         mu, nu = random_pair(4, m=8, equal_weights=False)
@@ -434,20 +546,19 @@ class TestSinkhorn:
 
         monkeypatch.setattr(transport, "_sinkhorn_cost", counting)
         for _ in range(2):
-            transport.distance(mu, nu, 2, "sinkhorn", 1e-3)
-        transport.distance(mu, nu, 1, "sinkhorn", 1e-3)
+            transport.distance(mu, nu, "sinkhorn", 1e-3)  # W2, then W1
         wasserstein_sinkhorn(mu, nu, p=1, epsilon=1e-3)  # the same key
         wasserstein_sinkhorn(mu, nu, p=2, epsilon=2e-3)  # another eps: another key
         # cross terms every call; self-terms once per (measure, p, eps)
-        assert solves == [False, True, True, False, False, True, True, False,
-                          False, True, True]
+        assert solves == [False, True, True, False, True, True, False, False,
+                          False, False, True, True]
         assert set(mu._self_costs) == {(2, 1e-3), (1, 1e-3), (2, 2e-3)}
         assert "_self_costs" not in repr(mu)
 
     def test_distance_rejects_unknown_method(self):
         mu, nu = random_pair(0)
         with pytest.raises(TransportError, match="method"):
-            transport.distance(mu, nu, 2, "magic", 1e-3)
+            transport.distance(mu, nu, "magic", 1e-3)
 
     def test_self_distance_vanishes(self):
         mu, _ = random_pair(1, m=10)
@@ -585,7 +696,7 @@ class TestScalingDomain:
         monkeypatch.setattr(transport, "_gibbs_kernel", poisoned)
         mu, nu = random_pair(2, m=6, equal_weights=False)
         with pytest.raises(TransportError, match="underflow"):
-            transport.distance(mu, nu, 2, "sinkhorn", 1e-3)
+            transport.distance(mu, nu, "sinkhorn", 1e-3)
 
 
 class TestDual:
@@ -613,6 +724,15 @@ class TestInequalities:
         rep = check_order_w1_w2(mu, nu)
         assert rep.ok
         assert rep.lhs <= rep.rhs + 1e-8
+
+    def test_order_check_solves_both_orders_on_one_model(self, monkeypatch):
+        solves = count_lp_solves(monkeypatch)
+        mu, nu = unequal_pair(3, 40, 30)
+        rep = check_order_w1_w2(mu, nu)
+        assert len(solves) >= 2 and len({id(lp) for lp, _ in solves}) == 1
+        assert rep.lhs == pytest.approx(wasserstein_exact(mu, nu, p=1)[0], rel=1e-12)
+        assert rep.rhs == pytest.approx(
+            math.sqrt(mu.total_mass) * wasserstein_exact(mu, nu, p=2)[0], rel=1e-12)
 
     def test_hm1_dominated_by_w2(self, grid32):
         x1, x2 = grid32.coords()
