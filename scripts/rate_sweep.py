@@ -4,7 +4,8 @@
 Runs ``vvlab.harness.hm1_sweep`` on a patch pair: the inviscid reference and a
 viscosity ladder, then prints the velocity L2 error at each requested time and
 the fitted exponent. Useful for quick rate exploration before committing to a
-full experiment.
+full experiment. A run that breaks its a-priori bounds is printed on stderr as
+an invariant violation, and the script exits 1, as ``vvlab run`` does.
 
     python3 scripts/rate_sweep.py --n 128 --times 0.1 0.5 --nu-max 3e-3
 """
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
     nus = np.geomspace(args.nu_max, args.nu_min, args.ladder)
 
     t0 = time.time()
-    errs = hm1_sweep(omega0, nus, args.times, args.dt)
+    errs, violations = hm1_sweep(omega0, nus, args.times, args.dt)
     for t in args.times:
         fit = fit_rate(nus, errs[t])
         pretty = ", ".join(f"{e:.3e}" for e in errs[t])
@@ -58,7 +59,9 @@ def main(argv=None) -> int:
             f"[{fit.ci_low:.4f}, {fit.ci_high:.4f}]  R^2={fit.r_squared:.5f}"
         )
     print(f"elapsed {time.time() - t0:.1f}s")
-    return 0
+    for msg in violations:
+        print(f"invariant violation: {msg}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -48,8 +48,8 @@ class CouplingEnsemble:
 
     def __post_init__(self):
         # copies: a step writes the positions in place, never into the caller's arrays
-        self.x = torus_wrap(np.array(self.x, float).reshape(-1, 2), self.length, in_place=True)
-        self.y = torus_wrap(np.array(self.y, float).reshape(-1, 2), self.length, in_place=True)
+        self.x = torus_wrap(np.array(self.x, float).reshape(-1, 2), self.length)
+        self.y = torus_wrap(np.array(self.y, float).reshape(-1, 2), self.length)
         self.weights = np.array(self.weights, float).reshape(-1)
         self.signs = np.array(self.signs, int).reshape(-1)
         # the work arrays of the steps and estimates
@@ -188,8 +188,8 @@ def advance_coupling(
     if not (np.isfinite(x, out=ens._finite).all() and np.isfinite(y, out=ens._finite).all()):
         bad = int(np.argwhere(~np.isfinite(x + y))[0][0])
         raise CouplingError(f"non-finite particle position at index {bad}")
-    torus_wrap(x, ens.length, in_place=True)
-    torus_wrap(y, ens.length, in_place=True)
+    torus_wrap(x, ens.length)
+    torus_wrap(y, ens.length)
     ens.time += dt
     ens.step_index += 1
     return ens

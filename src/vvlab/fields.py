@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ScalarField2D:
-    """Real scalar samples on a :class:`Grid2D`, with a lazily cached spectrum.
+    """Real scalar samples on a :class:`Grid2D`.
 
     Instances are treated as immutable: ``values`` is made read-only at
     construction and all operations return new fields.
@@ -92,7 +92,6 @@ class ScalarField2D:
 
     grid: Grid2D
     values: np.ndarray
-    _spectral: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -110,11 +109,9 @@ class ScalarField2D:
 
     @property
     def spectral(self) -> np.ndarray:
-        """Unnormalized forward FFT coefficients of the samples (cached)."""
-        if self._spectral is None:
-            self._spectral = np.fft.fft2(self.values)
-            self._spectral.flags.writeable = False
-        return self._spectral
+        """Unnormalized forward FFT coefficients of the samples."""
+        return np.fft.fft2(self.values)
+
 
 @dataclass
 class VectorField2D:
@@ -208,15 +205,15 @@ def torus_distance(x: np.ndarray, y: np.ndarray, length: float, work=None) -> np
     return np.sqrt(np.add(np.multiply(d1, d1, out=q1), np.multiply(d2, d2, out=q2), out=q1), out=q1)
 
 
-def torus_wrap(x: np.ndarray, period: float, in_place: bool = False) -> np.ndarray:
-    """``x`` folded into [0, period) (``x`` itself if ``in_place``), skipped when
-    every entry already lies there."""
+def torus_wrap(x: np.ndarray, period: float) -> np.ndarray:
+    """``x`` folded in place into [0, period), skipped when every entry already
+    lies there; returns ``x``."""
     if not x.size or (x.min() >= 0 and x.max() < period):
         return x
-    y = np.mod(x, period, out=x if in_place else None)
-    if y.max() == period:  # np.mod(-1e-18, 1.0) rounds up to 1.0; the mask is rarely built
-        y[y == period] = 0.0
-    return y
+    np.mod(x, period, out=x)
+    if x.max() == period:  # np.mod(-1e-18, 1.0) rounds up to 1.0; the mask is rarely built
+        x[x == period] = 0.0
+    return x
 
 
 class ParticleWork:
@@ -245,7 +242,7 @@ def interpolate_velocity(u: VectorField2D, points: np.ndarray, work=None) -> np.
     work = ParticleWork(len(pts)) if work is None else work
     n, h = u.grid.n, u.grid.spacing
     s, i0, i1 = work.coords, work.lo, work.hi
-    torus_wrap(np.divide(pts.T, h, out=s), n, in_place=True)
+    torus_wrap(np.divide(pts.T, h, out=s), n)
     # s is nonnegative, so its whole part is the cell index; no mixed-type
     # subtraction, which would buffer its cast
     frac, whole = np.modf(s, out=(s, work.weights))

@@ -282,28 +282,24 @@ def _hm1_error(grid: Grid2D, a, b) -> float:
     return hm1_norm(ScalarField2D(grid, (a[0] - a[1]) - (b[0] - b[1])))
 
 
-def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> dict:
-    """Velocity L2 errors of a viscosity ladder against Euler: {t: [error per nu]}.
-
-    H^-1 only, no transport or coupling: one inviscid run and one run per
-    viscosity, each keeping only its snapshots at ``times``, reached with a
-    snapshot every gcd of the times' step counts.
+def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> tuple:
+    """Velocity L2 errors of a viscosity ladder against Euler, {t: [error per nu]},
+    and its runs' a-priori violations; H^-1 only, no transport or coupling. The
+    inviscid run and each viscous run are read by :func:`_stream`, which keeps
+    their snapshots at ``times``, taken every gcd of the times' step counts.
     """
     steps = [_steps(t, dt, f"time step {dt}") for t in times]
     split0 = split_signed(omega0)
-
-    def at_times(nu: float) -> list:
-        scfg = SolverConfig(nu=nu, dt=dt, t_end=max(times), record_every=math.gcd(*steps))
-        kept = {s: values for s, values in snapshots(split0.plus, split0.minus, scfg)
-                if s in steps}
-        return [kept[s] for s in steps]
-
-    euler = at_times(0.0)
+    scfg = SolverConfig(nu=0.0, dt=dt, t_end=max(times), record_every=math.gcd(*steps))
+    at_step = dict(zip(steps, times))
+    euler, violations = _stream(split0, scfg, at_step)
     errs = {t: [] for t in times}
     for nu in nus:
-        for t, values, ref in zip(times, at_times(float(nu)), euler):
-            errs[t].append(_hm1_error(omega0.grid, values, ref))
-    return errs
+        kept, leg_violations = _stream(split0, replace(scfg, nu=float(nu)), at_step)
+        violations += leg_violations
+        for t in times:
+            errs[t].append(_hm1_error(omega0.grid, kept[t], euler[t]))
+    return errs, violations
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
@@ -319,15 +315,14 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     t_end = max(eval_times)
     scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
 
-    # the inviscid reference, read once: each interval's midpoint velocity,
-    # shared by the ladder, the whole snapshot at each evaluation time's step,
-    # by time, and its a-priori violation, which opens the run's list
+    # the inviscid reference, read once: a copy of each interval's midpoint
+    # velocity, shared by the ladder, the whole snapshot at each evaluation
+    # time's step, by time, and its a-priori violation, which opens the run's list
     at_step = {round(t / cfg.dt): t for t in eval_times}
     euler_mid = []
 
-    def keep_midpoint(h, a, b):
-        mean = np.add(a, b)
-        euler_mid.append(VectorField2D(grid, *np.multiply(0.5, mean, out=mean)))
+    def keep_midpoint(h, mid):
+        euler_mid.append(VectorField2D(grid, *mid.copy()))
 
     euler_at, invariant_violations = _stream(split0, scfg_euler, at_step, keep_midpoint)
     # their parts' measures, shared by the ladder
@@ -338,13 +333,12 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         """Stream one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
         snapshots go with its frame, before the next leg streams. Its coupling
-        steps on each interval's midpoint velocities, the viscous one averaged
-        into one work array."""
+        steps on each interval's midpoint velocities, the viscous one the
+        stream's work array."""
         ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
-        inviscid, entries, mid = iter(euler_mid), [estimate_q(ens)], np.empty((2, cfg.n, cfg.n))
+        inviscid, entries = iter(euler_mid), [estimate_q(ens)]
 
-        def advance(h, u_prev, u):
-            np.multiply(0.5, np.add(u_prev, u, out=mid), out=mid)
+        def advance(h, mid):
             advance_coupling(ens, next(inviscid), VectorField2D(grid, *mid), nu, h)
             entries.append(estimate_q(ens))
 
@@ -409,7 +403,8 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         "resolution_check": "skipped",
     }
     if cfg.check_resolution:
-        flags["resolution_check"] = _resolution_check(cfg, scfg_euler, euler_at[t_end], rows)
+        flags["resolution_check"], fine = _resolution_check(cfg, scfg_euler, euler_at[t_end], rows)
+        invariant_violations += fine
 
     stable = lemma1_ladder_stable(lemma1_fits.values()) if len(lemma1_fits) >= 2 else False
     return RateSeries(
@@ -424,18 +419,21 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _stream(split0, scfg: SolverConfig, at_step: dict, interval) -> tuple:
-    """Read one run of :func:`snapshots` from the initial parts ``split0`` once.
-    Calls ``interval(h, u_prev, u)`` with the length and the end velocities of
-    each interval between consecutive snapshots, and checks the a-priori bounds
-    on every snapshot. Returns the snapshots at the steps of ``at_step``, by its
-    time, and the run's a-priori violations (at most one)."""
-    monitor, kept = AprioriMonitor(scfg.nu), {}
+def _stream(split0, scfg: SolverConfig, at_step: dict, interval=None) -> tuple:
+    """Read one run of :func:`snapshots` from the initial parts ``split0`` once,
+    checking the a-priori bounds on every snapshot. Given ``interval``, calls
+    ``interval(h, mid)`` with each interval's length and the mean of its end
+    velocities, in one (2, n, n) work array that the next interval rewrites.
+    Returns the snapshots at the steps of ``at_step``, by its time, and the
+    run's a-priori violations (at most one)."""
+    monitor, kept, mid = AprioriMonitor(scfg.nu), {}, None
     for s, values in snapshots(split0.plus, split0.minus, scfg):
         t = s * scfg.dt
         monitor.feed(t, values)
-        if s:
-            interval(t - t_prev, u_prev, values[2:])
+        if s and interval is not None:
+            mid = np.add(u_prev, values[2:], out=mid)  # the first interval makes the work array
+            np.multiply(0.5, mid, out=mid)
+            interval(t - t_prev, mid)
         if s in at_step:
             kept[at_step[s]] = values
         t_prev, u_prev = t, values[2:]
@@ -493,20 +491,22 @@ def _check_chain(row: RateRow, norms0, violations, series) -> None:
         )
 
 
-def _resolution_check(cfg: ExperimentConfig, scfg: SolverConfig, euler_end, rows) -> str:
+def _resolution_check(cfg: ExperimentConfig, scfg: SolverConfig, euler_end, rows) -> tuple:
     """Grid-doubling estimate of the discretization error of the inviscid
-    reference run with ``scfg``, whose snapshot at t_end is ``euler_end``."""
+    reference run with ``scfg``, whose snapshot at t_end is ``euler_end``: its
+    flag, and the fine run's a-priori violations."""
     fine = Grid2D(cfg.n * 2, cfg.length)
     split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
     # one snapshot every t_end / dt steps: only the end state is transformed
-    for _, fine_end in snapshots(split_f.plus, split_f.minus,
-                                 replace(scfg, record_every=round(scfg.t_end / scfg.dt))):
-        pass
+    end = round(scfg.t_end / scfg.dt)
+    kept, violations = _stream(split_f, replace(scfg, record_every=end), {end: scfg.t_end})
+    fine_end = kept[scfg.t_end]
     # restrict the fine solution to the coarse grid
     diff = (euler_end[0] - euler_end[1]) - (fine_end[0] - fine_end[1])[::2, ::2]
     disc_err = hm1_norm(ScalarField2D(Grid2D(cfg.n, cfg.length), diff - diff.mean()))
     smallest = min((r.err_l2_velocity for r in rows), default=math.inf)
-    return "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"
+    flag = "ok" if disc_err <= 0.1 * smallest else f"untrusted (disc_err={disc_err:.3e})"
+    return flag, violations
 
 
 # -- reporting ----------------------------------------------------------------

@@ -58,8 +58,9 @@ def rate_sweep():
     assert abs(linf0 - 1.0) < 0.02, "patch amplitude drifted; times below assume 1"
     t_short, t_fixed = 0.1, 1.0
     t0 = time.time()
-    errs = hm1_sweep(omega0, SWEEP_NUS, [t_short, t_fixed], SWEEP_DT)
+    errs, violations = hm1_sweep(omega0, SWEEP_NUS, [t_short, t_fixed], SWEEP_DT)
     elapsed = time.time() - t0
+    assert violations == [], violations  # every run keeps its a-priori bounds
     return {
         "errs": errs,
         "elapsed": elapsed,

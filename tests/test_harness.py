@@ -423,10 +423,11 @@ class TestRunExperiment:
         # and every leg's coupling steps on those same fields
         import vvlab.harness as harness_mod
 
-        real, seen = harness_mod.advance_coupling, {}
+        real, seen, viscous = harness_mod.advance_coupling, {}, []
 
         def recording(ens, u, u_nu, nu, dt):
             seen.setdefault(nu, []).append(u)
+            viscous.append(u_nu.u1)
             return real(ens, u, u_nu, nu, dt)
 
         monkeypatch.setattr(harness_mod, "advance_coupling", recording)
@@ -438,6 +439,11 @@ class TestRunExperiment:
         for mids in seen.values():
             assert len(mids) == len(first)
             assert all(a is b for a, b in zip(mids, first))
+        # each Euler midpoint is its own array, not the stream's work array,
+        # which the viscous midpoints are written into
+        for i, u in enumerate(first):
+            assert not any(np.shares_memory(u.u1, v.u1) for v in first[i + 1:])
+            assert not any(np.shares_memory(u.u1, w) for w in viscous)
 
     def test_velocity_cross_check_is_live(self, monkeypatch):
         # a perturbed snapshot velocity no longer matches the H^-1 error of the parts
@@ -459,19 +465,21 @@ class TestRunExperiment:
         assert len(flagged) == 1
         assert flagged[0].startswith(f"nu={perturbed} t=0.025: |u-velocity L2 - vorticity H^-1|")
 
-    @pytest.mark.parametrize("run", ["euler", "leg"])
+    @pytest.mark.parametrize("run", ["euler", "leg", "fine"])
     def test_apriori_check_is_live(self, monkeypatch, run):
         # one snapshot's plus part scaled by 1.02 drifts that run's mass by 2e-2,
-        # an invariant violation of its run, not a leg error
+        # an invariant violation of its run, not a leg error; "fine" is the
+        # resolution check's Euler run on the doubled grid, read at steps 0 and 10
         import vvlab.harness as harness_mod
 
         real = harness_mod.snapshots
-        cfg = patch_config(times=[0.025, 0.05])
-        scaled = 0.0 if run == "euler" else cfg.nu_ladder[2]
+        cfg = patch_config(times=[0.025, 0.05], check_resolution=run == "fine")
+        scaled = cfg.nu_ladder[2] if run == "leg" else 0.0
+        n, step = (2 * cfg.n, 10) if run == "fine" else (cfg.n, 3)
 
         def scaling(plus, minus, scfg):
             for s, values in real(plus, minus, scfg):
-                if scfg.nu == scaled and s == 3:
+                if scfg.nu == scaled and plus.grid.n == n and s == step:
                     values[0] *= 1.02
                 yield s, values
 
@@ -480,7 +488,7 @@ class TestRunExperiment:
         assert series.errors == []
         flagged = [v for v in series.invariant_violations if "a-priori" in v]
         assert len(flagged) == 1
-        assert flagged[0].startswith(f"nu={scaled} t=0.015: a-priori ")
+        assert flagged[0].startswith(f"nu={scaled} t={step * cfg.dt:.6g}: a-priori ")
 
     def test_q_agrees_with_biot_savart_velocities(self, monkeypatch, tmp_path):
         # the coupling driven by velocities re-solved from each snapshot, as
@@ -531,8 +539,9 @@ class TestHm1Sweep:
         omega0 = make_initial_data(
             cfg.initial_kind, Grid2D(cfg.n, cfg.length), **cfg.initial_params
         )
-        errs = hm1_sweep(omega0, cfg.nu_ladder, cfg.times, cfg.dt)
+        errs, violations = hm1_sweep(omega0, cfg.nu_ladder, cfg.times, cfg.dt)
         assert errs == {0.05: [r.err_l2_velocity for r in patch_series.rows]}
+        assert violations == []
 
     def test_snapshots_at_gcd_of_step_counts(self, monkeypatch):
         from vvlab import evolve
@@ -553,12 +562,42 @@ class TestHm1Sweep:
 
         monkeypatch.setattr(evolve, "_Kernel", Recording)
         omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
-        errs = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
+        errs, _ = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
         assert [k.cfg.nu for k in kernels] == [0.0, 2e-2, 1e-2]
         assert {k.cfg.record_every for k in kernels} == {2}  # gcd(4, 6)
         # the velocity at step 0, then the snapshots at steps 2, 4 and 6
         assert all(k.calls == [False, True, True, True] for k in kernels)
         assert all(len(e) == 2 and all(x > 0 for x in e) for e in errs.values())
+
+    @pytest.mark.parametrize("run", ["euler", "leg"])
+    def test_apriori_check_is_live(self, monkeypatch, run):
+        # one snapshot's plus part scaled by 1.02, off the evaluation times, is
+        # one violation naming its run; the errors are still those of a clean sweep
+        import vvlab.harness as harness_mod
+        from vvlab.fields import Grid2D
+        from vvlab.initial_data import make_initial_data
+
+        cfg = patch_config()
+        omega0 = make_initial_data(
+            cfg.initial_kind, Grid2D(cfg.n, cfg.length), **cfg.initial_params
+        )
+        times = [0.02, 0.05]  # snapshots every 2 steps
+        clean, violations = hm1_sweep(omega0, cfg.nu_ladder, times, cfg.dt)
+        assert violations == []
+        real = harness_mod.snapshots
+        scaled = 0.0 if run == "euler" else cfg.nu_ladder[2]
+
+        def scaling(plus, minus, scfg):
+            for s, values in real(plus, minus, scfg):
+                if scfg.nu == scaled and s == 6:
+                    values[0] *= 1.02
+                yield s, values
+
+        monkeypatch.setattr(harness_mod, "snapshots", scaling)
+        errs, violations = hm1_sweep(omega0, cfg.nu_ladder, times, cfg.dt)
+        assert errs == clean
+        assert len(violations) == 1
+        assert violations[0].startswith(f"nu={scaled} t=0.03: a-priori plus mass drift")
 
     def test_time_off_the_step_grid_rejected(self):
         from vvlab.fields import Grid2D

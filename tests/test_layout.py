@@ -82,6 +82,29 @@ def test_every_public_definition_is_used():
     assert unused == []
 
 
+def readers_of(node, name: str, scope: str) -> set:
+    """The scopes under ``node`` that read ``name`` as ``name`` or ``obj.name``:
+    the innermost enclosing definition as ``module.def``, else ``scope``."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out |= readers_of(child, name, f"{scope.split('.')[0]}.{child.name}")
+            continue
+        if name in (getattr(child, "id", None), getattr(child, "attr", None)):
+            out.add(scope)
+        out |= readers_of(child, name, scope)
+    return out
+
+
+def test_only_the_stream_and_the_collector_read_the_stepper():
+    # every run of the package goes through harness._stream, which checks its
+    # a-priori bounds; evolve.run_split keeps a whole run for the tests and the bench
+    trees = parsed(sorted(SRC.rglob("*.py")))
+    readers = set().union(*(readers_of(tree, "snapshots", path.stem)
+                            for path, tree in trees.items()))
+    assert readers == {"harness._stream", "evolve.run_split"}
+
+
 def test_no_module_imports_scipy_at_module_level():
     found = []
     for path in sorted(SRC.rglob("*.py")):

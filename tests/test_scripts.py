@@ -24,6 +24,29 @@ def test_rate_sweep(capsys):
     assert "exponent" in out
 
 
+def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
+    # the Euler run's plus part scaled by 1.02 at a snapshot off the evaluation
+    # times breaks its a-priori bounds: the errors are still printed, the
+    # violation goes to stderr
+    import vvlab.harness as harness_mod
+
+    real = harness_mod.snapshots
+
+    def scaling(plus, minus, scfg):
+        for s, values in real(plus, minus, scfg):
+            if scfg.nu == 0 and s == 5:
+                values[0] *= 1.02
+            yield s, values
+
+    monkeypatch.setattr(harness_mod, "snapshots", scaling)
+    rate_sweep = load_script("rate_sweep")
+    # dt = 2e-3: snapshots every 5 steps, the gcd of 10 and 25
+    assert rate_sweep.main(["--n", "32", "--ladder", "4", "--times", "0.02", "0.05"]) == 1
+    captured = capsys.readouterr()
+    assert "t=0.02: errors [" in captured.out and "t=0.05: errors [" in captured.out
+    assert captured.err.startswith("invariant violation: nu=0.0 t=0.01: a-priori plus mass drift")
+
+
 def test_rate_sweep_rejects_short_ladder(capsys):
     rate_sweep = load_script("rate_sweep")
     with pytest.raises(SystemExit) as exit_info:
