@@ -74,11 +74,18 @@ def _read(path: str, parse):
         raise ConfigError(f"cannot read {path}: {e}") from e
 
 
+def load_config(path: str, extra: list[str]) -> ExperimentConfig:
+    """The experiment config in the YAML file at ``path``, with the
+    ``--path.to.key value`` overrides in ``extra``; a file, an override or a
+    config that cannot be read or used is a configuration error."""
+    tree = _read(path, yaml.safe_load) or {}
+    for key, raw in _parse_overrides(extra):
+        apply_override(tree, key, raw)
+    return ExperimentConfig.from_nested(tree)
+
+
 def cmd_run(args, extra) -> int:
-    tree = _read(args.config, yaml.safe_load) or {}
-    for path, raw in _parse_overrides(extra):
-        apply_override(tree, path, raw)
-    cfg = ExperimentConfig.from_nested(tree)
+    cfg = load_config(args.config, extra)
     outdir = Path(args.output or cfg.output_dir) / f"{cfg.name}-seed{cfg.seed}"
     made = not outdir.exists()
     # before the run, so an unusable output path costs no integration

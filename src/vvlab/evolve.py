@@ -144,14 +144,13 @@ class _Kernel:
         dest[..., c:] = 0.0
         return dest
 
-    def snapshot(self, w: np.ndarray, members: bool = True) -> np.ndarray:
-        """Physical values of both parts (if ``members``), then the velocity (u1, u2)."""
-        s = 2 if members else 0
-        buf = self.buf[:s + 2]
-        buf[:s] = w[:s]
-        adv = np.subtract(w[0], w[1], out=buf[s + 1])
-        np.multiply(self.vel1, adv, out=buf[s])
-        np.multiply(self.vel2, adv, out=buf[s + 1])
+    def snapshot(self, w: np.ndarray) -> np.ndarray:
+        """Physical values of both parts, then the velocity (u1, u2)."""
+        buf = self.buf[:4]
+        buf[:2] = w
+        adv = np.subtract(w[0], w[1], out=buf[3])
+        np.multiply(self.vel1, adv, out=buf[2])
+        np.multiply(self.vel2, adv, out=buf[3])
         return self._inverse(buf)
 
     def _inverse(self, buf: np.ndarray, dest: np.ndarray | None = None,
@@ -208,9 +207,12 @@ def snapshots(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: Solv
     require_mean_zero(full0, "time stepping")
     n_steps = _steps_for(cfg)
     kernel = _Kernel(grid, cfg)
-    parts = np.stack([omega0_plus.values, omega0_minus.values])
-    w = rfft2(parts)
-    yield 0, np.concatenate([parts, kernel.snapshot(w, members=False)])
+    w = rfft2(np.stack([omega0_plus.values, omega0_minus.values]))
+    first = kernel.snapshot(w)
+    # the given parts, not their round trip through the transforms
+    first[0], first[1] = omega0_plus.values, omega0_minus.values
+    yield 0, first
+    del first  # the caller's to keep or drop: the run holds no snapshot
     for s in range(1, n_steps + 1):
         try:
             kernel.step(w)

@@ -257,23 +257,37 @@ class RateSeries:
     errors: list  # per-leg failures (nu, message)
 
 
-def _steps(t: float, unit: float, what: str) -> int:
-    """The whole number k >= 1 of ``unit`` intervals in time t, else ConfigError."""
-    k = round(t / unit)
-    if k < 1 or abs(k * unit - t) > 1e-9 * max(t, unit):
-        raise ConfigError(f"evaluation time {t} is not a multiple of the {what}")
-    return k
-
-
-def _resolve_eval_times(cfg: ExperimentConfig):
-    """Snap evaluation times onto the snapshot grid (record_every * dt). Two times
-    on one snapshot would give the fit the same rows twice, so they are refused."""
+def _resolve_eval_times(cfg: ExperimentConfig) -> dict:
+    """{solver step: evaluation time}, the times snapped onto the snapshot grid
+    (record_every * dt), in the config's order. A time off that grid is refused,
+    and so are two times on one snapshot, which would give the fit the same rows twice."""
     snap_dt = cfg.record_every * cfg.dt
-    what = f"snapshot interval {snap_dt} (record_every * dt)"
-    times = [_steps(t, snap_dt, what) * snap_dt for t in cfg.times]
-    if len(set(times)) < len(times):
+    at_step = {}
+    for t in cfg.times:
+        k = round(t / snap_dt)
+        if k < 1 or abs(k * snap_dt - t) > 1e-9 * max(t, snap_dt):
+            raise ConfigError(f"evaluation time {t} is not a multiple of the "
+                              f"snapshot interval {snap_dt} (record_every * dt)")
+        at_step[k * cfg.record_every] = k * snap_dt
+    if len(at_step) < len(cfg.times):
         raise ConfigError(f"evaluation times must not repeat, got {list(cfg.times)}")
-    return times
+    return at_step
+
+
+def _start(cfg: ExperimentConfig) -> tuple:
+    """What every sweep of ``cfg`` starts from, once it is validated: the initial
+    vorticity, its signed parts, the inviscid run's SolverConfig and the
+    schedule {solver step: evaluation time} of its snapshots."""
+    cfg.validate()
+    try:
+        omega0 = make_initial_data(cfg.initial_kind, Grid2D(cfg.n, cfg.length),
+                                   **cfg.initial_params)
+    except FieldError as e:
+        raise ConfigError(f"initial data: {e}") from e
+    at_step = _resolve_eval_times(cfg)
+    scfg = SolverConfig(nu=0.0, dt=cfg.dt, t_end=max(at_step.values()),
+                        record_every=cfg.record_every)
+    return omega0, split_signed(omega0), scfg, at_step
 
 
 def _hm1_error(grid: Grid2D, a, b) -> float:
@@ -282,43 +296,30 @@ def _hm1_error(grid: Grid2D, a, b) -> float:
     return hm1_norm(ScalarField2D(grid, (a[0] - a[1]) - (b[0] - b[1])))
 
 
-def hm1_sweep(omega0: ScalarField2D, nus, times, dt: float) -> tuple:
-    """Velocity L2 errors of a viscosity ladder against Euler, {t: [error per nu]},
-    and its runs' a-priori violations; H^-1 only, no transport or coupling. The
-    inviscid run and each viscous run are read by :func:`_stream`, which keeps
-    their snapshots at ``times``, taken every gcd of the times' step counts.
+def hm1_sweep(cfg: ExperimentConfig) -> tuple:
+    """The velocity L2 errors of ``cfg``'s ladder against Euler, {t: [error per nu]},
+    the ``err_l2_velocity`` column of :func:`run_experiment`, and its runs' a-priori
+    violations; H^-1 only, no transport or coupling. The inviscid run and each
+    viscous run are read by :func:`_stream`, on the snapshots a run reads.
     """
-    steps = [_steps(t, dt, f"time step {dt}") for t in times]
-    split0 = split_signed(omega0)
-    scfg = SolverConfig(nu=0.0, dt=dt, t_end=max(times), record_every=math.gcd(*steps))
-    at_step = dict(zip(steps, times))
+    omega0, split0, scfg, at_step = _start(cfg)
     euler, violations = _stream(split0, scfg, at_step)
-    errs = {t: [] for t in times}
-    for nu in nus:
-        kept, leg_violations = _stream(split0, replace(scfg, nu=float(nu)), at_step)
+    errs = {t: [] for t in at_step.values()}
+    for nu in cfg.nu_ladder:
+        kept, leg_violations = _stream(split0, replace(scfg, nu=nu), at_step)
         violations += leg_violations
-        for t in times:
-            errs[t].append(_hm1_error(omega0.grid, kept[t], euler[t]))
+        for t, col in errs.items():
+            col.append(_hm1_error(omega0.grid, kept[t], euler[t]))
     return errs, violations
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
-    cfg.validate()
-    grid = Grid2D(cfg.n, cfg.length)
-    try:
-        omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
-    except FieldError as e:
-        raise ConfigError(f"initial data: {e}") from e
-    norms0 = norms(omega0)
-    split0 = split_signed(omega0)
-    eval_times = _resolve_eval_times(cfg)
-    t_end = max(eval_times)
-    scfg_euler = SolverConfig(nu=0.0, dt=cfg.dt, t_end=t_end, record_every=cfg.record_every)
+    omega0, split0, scfg_euler, at_step = _start(cfg)
+    grid, norms0 = omega0.grid, norms(omega0)
 
     # the inviscid reference, read once: a copy of each interval's midpoint
     # velocity, shared by the ladder, the whole snapshot at each evaluation
     # time's step, by time, and its a-priori violation, which opens the run's list
-    at_step = {round(t / cfg.dt): t for t in eval_times}
     euler_mid = []
 
     def keep_midpoint(h, mid):
@@ -346,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         series = QSeries(entries=entries)
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
         leg_rows = []
-        for t in eval_times:
+        for t in at_step.values():
             values, ref = kept[t], euler_at[t]
             err_hm1 = _hm1_error(grid, values, ref)
             # cross-check: the same error as the L2 norm of the difference of
@@ -393,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
             lemma1_fits[nu] = c_fit
 
     fits = {}
-    for t in eval_times:
+    for t in at_step.values():
         sub = [(r.nu, r.err_l2_velocity) for r in rows if r.t == t]
         if len(sub) >= 4:
             fits[t] = fit_rate([s[0] for s in sub], [s[1] for s in sub], rng_seed=cfg.seed)
@@ -403,7 +404,8 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         "resolution_check": "skipped",
     }
     if cfg.check_resolution:
-        flags["resolution_check"], fine = _resolution_check(cfg, scfg_euler, euler_at[t_end], rows)
+        end, t_end = max(at_step.items())
+        flags["resolution_check"], fine = _resolution_check(cfg, end, euler_at[t_end], rows)
         invariant_violations += fine
 
     stable = lemma1_ladder_stable(lemma1_fits.values()) if len(lemma1_fits) >= 2 else False
@@ -491,16 +493,15 @@ def _check_chain(row: RateRow, norms0, violations, series) -> None:
         )
 
 
-def _resolution_check(cfg: ExperimentConfig, scfg: SolverConfig, euler_end, rows) -> tuple:
+def _resolution_check(cfg: ExperimentConfig, end: int, euler_end, rows) -> tuple:
     """Grid-doubling estimate of the discretization error of the inviscid
-    reference run with ``scfg``, whose snapshot at t_end is ``euler_end``: its
-    flag, and the fine run's a-priori violations."""
-    fine = Grid2D(cfg.n * 2, cfg.length)
-    split_f = split_signed(make_initial_data(cfg.initial_kind, fine, **cfg.initial_params))
-    # one snapshot every t_end / dt steps: only the end state is transformed
-    end = round(scfg.t_end / scfg.dt)
-    kept, violations = _stream(split_f, replace(scfg, record_every=end), {end: scfg.t_end})
-    fine_end = kept[scfg.t_end]
+    reference run of ``cfg``, whose snapshot at its last step ``end`` is
+    ``euler_end``: its flag, and the fine run's a-priori violations."""
+    # one snapshot interval of ``end`` steps: only the end state is transformed
+    fine_cfg = replace(cfg, n=2 * cfg.n, times=[end * cfg.dt], record_every=end)
+    _, split_f, scfg, at_step = _start(fine_cfg)
+    kept, violations = _stream(split_f, scfg, at_step)
+    (fine_end,) = kept.values()
     # restrict the fine solution to the coarse grid
     diff = (euler_end[0] - euler_end[1]) - (fine_end[0] - fine_end[1])[::2, ::2]
     disc_err = hm1_norm(ScalarField2D(Grid2D(cfg.n, cfg.length), diff - diff.mean()))

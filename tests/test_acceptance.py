@@ -41,32 +41,31 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 # -- shared expensive sweep (criteria 2 and 3) --------------------------------
 
-SWEEP_N = 256
-SWEEP_LENGTH = 0.4
-SWEEP_DT = 2e-3
 SWEEP_NUS = np.geomspace(3e-3, 3e-4, 5)
+T_SHORT, T_FIXED = 0.1, 1.0
 
 
 @pytest.fixture(scope="module")
 def rate_sweep():
     """Velocity L2 errors of the viscous runs against the inviscid reference
     at the short and the fixed evaluation time, for the full ladder."""
-    grid = Grid2D(SWEEP_N, SWEEP_LENGTH)
-    omega0 = make_initial_data("patch_pair", grid, radius=0.08, separation=0.2)
-    linf0 = norms(omega0).linf
+    cfg = ExperimentConfig(
+        initial_kind="patch_pair", initial_params={"radius": 0.08, "separation": 0.2},
+        n=256, length=0.4, nu_ladder=SWEEP_NUS.tolist(), times=[T_SHORT, T_FIXED],
+        dt=2e-3, record_every=50,
+    )
+    grid = Grid2D(cfg.n, cfg.length)
+    omega0 = make_initial_data(cfg.initial_kind, grid, **cfg.initial_params)
     # evaluation times are defined relative to the vorticity amplitude
-    assert abs(linf0 - 1.0) < 0.02, "patch amplitude drifted; times below assume 1"
-    t_short, t_fixed = 0.1, 1.0
+    assert abs(norms(omega0).linf - 1.0) < 0.02, "patch amplitude drifted; times below assume 1"
     t0 = time.time()
-    errs, violations = hm1_sweep(omega0, SWEEP_NUS, [t_short, t_fixed], SWEEP_DT)
+    errs, violations = hm1_sweep(cfg)
     elapsed = time.time() - t0
     assert violations == [], violations  # every run keeps its a-priori bounds
     return {
         "errs": errs,
         "elapsed": elapsed,
-        "t_short": t_short,
-        "t_fixed": t_fixed,
-        "resolved_ok": math.sqrt(float(SWEEP_NUS.min()) * t_short) >= grid.spacing,
+        "resolved_ok": math.sqrt(float(SWEEP_NUS.min()) * T_SHORT) >= grid.spacing,
     }
 
 
@@ -84,7 +83,7 @@ def test_criterion_1_exact_solution_regression(grid64):
 
 
 def test_criterion_2_short_time_rate(rate_sweep):
-    fit = fit_rate(SWEEP_NUS, rate_sweep["errs"][rate_sweep["t_short"]])
+    fit = fit_rate(SWEEP_NUS, rate_sweep["errs"][T_SHORT])
     ok = 0.40 <= fit.exponent <= 0.60 and rate_sweep["elapsed"] < 1800
     _report(
         2,
@@ -97,8 +96,8 @@ def test_criterion_2_short_time_rate(rate_sweep):
 
 
 def test_criterion_3_fixed_time_degradation(rate_sweep):
-    fit_short = fit_rate(SWEEP_NUS, rate_sweep["errs"][rate_sweep["t_short"]])
-    fit_fixed = fit_rate(SWEEP_NUS, rate_sweep["errs"][rate_sweep["t_fixed"]])
+    fit_short = fit_rate(SWEEP_NUS, rate_sweep["errs"][T_SHORT])
+    fit_fixed = fit_rate(SWEEP_NUS, rate_sweep["errs"][T_FIXED])
     ok = 0.0 < fit_fixed.exponent < fit_short.exponent
     _report(
         3,

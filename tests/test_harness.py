@@ -150,10 +150,14 @@ class TestConfig:
         assert tree["allow_unresolved"] is True
 
     def test_eval_times_snap_to_snapshots(self):
-        cfg = small_config(times=[0.05, 0.02])
-        assert _resolve_eval_times(cfg) == pytest.approx([0.05, 0.02])
+        # {solver step: time}, in the config's order
+        at_step = _resolve_eval_times(small_config(times=[0.05, 0.02]))
+        assert list(at_step) == [10, 4]
+        assert at_step == pytest.approx({10: 0.05, 4: 0.02})
         with pytest.raises(ConfigError, match="snapshot"):
             _resolve_eval_times(small_config(times=[0.013]))
+        with pytest.raises(ConfigError, match="must not repeat"):
+            _resolve_eval_times(small_config(times=[0.05, 0.0500000000001]))
 
 
 @pytest.fixture(scope="module")
@@ -532,57 +536,53 @@ class TestRunExperiment:
 
 class TestHm1Sweep:
     def test_matches_run_experiment_errors(self, patch_series):
-        from vvlab.fields import Grid2D
-        from vvlab.initial_data import make_initial_data
-
-        cfg = patch_config()
-        omega0 = make_initial_data(
-            cfg.initial_kind, Grid2D(cfg.n, cfg.length), **cfg.initial_params
-        )
-        errs, violations = hm1_sweep(omega0, cfg.nu_ladder, cfg.times, cfg.dt)
+        errs, violations = hm1_sweep(patch_config())
         assert errs == {0.05: [r.err_l2_velocity for r in patch_series.rows]}
         assert violations == []
 
-    def test_snapshots_at_gcd_of_step_counts(self, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: ExperimentConfig.from_nested(yaml.safe_load((ROOT / "configs/smoke.yaml").read_text())),
+        lambda: patch_config(times=[0.02, 0.05]),
+    ], ids=["smoke", "patch-two-times"])
+    def test_is_the_error_column_of_the_run(self, monkeypatch, make):
+        # the same runs, each read on the same snapshot steps, give the run's
+        # err_l2_velocity column bit for bit
         from vvlab import evolve
-        from vvlab.fields import Grid2D
-        from vvlab.initial_data import make_initial_data
 
         kernels = []
 
         class Recording(evolve._Kernel):
             def __init__(self, grid, cfg):
                 super().__init__(grid, cfg)
-                self.cfg, self.calls = cfg, []
+                self.cfg, self.snapshots = cfg, 0
                 kernels.append(self)
 
-            def snapshot(self, w, members=True):
-                self.calls.append(members)
-                return super().snapshot(w, members)
+            def snapshot(self, w):
+                self.snapshots += 1
+                return super().snapshot(w)
 
         monkeypatch.setattr(evolve, "_Kernel", Recording)
-        omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
-        errs, _ = hm1_sweep(omega0, [2e-2, 1e-2], [0.02, 0.03], 5e-3)
-        assert [k.cfg.nu for k in kernels] == [0.0, 2e-2, 1e-2]
-        assert {k.cfg.record_every for k in kernels} == {2}  # gcd(4, 6)
-        # the velocity at step 0, then the snapshots at steps 2, 4 and 6
-        assert all(k.calls == [False, True, True, True] for k in kernels)
-        assert all(len(e) == 2 and all(x > 0 for x in e) for e in errs.values())
+        cfg = make()
+        series = run_experiment(cfg)
+        run_reads = [(k.cfg, k.snapshots) for k in kernels]
+        kernels.clear()
+        errs, violations = hm1_sweep(cfg)
+        assert [(k.cfg, k.snapshots) for k in kernels] == run_reads
+        assert [k.cfg.nu for k in kernels] == [0.0, *cfg.nu_ladder]
+        assert {k.cfg.record_every for k in kernels} == {cfg.record_every}
+        assert errs == {t: [r.err_l2_velocity for r in series.rows if r.t == t]
+                        for t in sorted({r.t for r in series.rows})}
+        assert len(errs) == len(cfg.times)
+        assert violations == series.invariant_violations == []
 
     @pytest.mark.parametrize("run", ["euler", "leg"])
     def test_apriori_check_is_live(self, monkeypatch, run):
         # one snapshot's plus part scaled by 1.02, off the evaluation times, is
         # one violation naming its run; the errors are still those of a clean sweep
         import vvlab.harness as harness_mod
-        from vvlab.fields import Grid2D
-        from vvlab.initial_data import make_initial_data
 
-        cfg = patch_config()
-        omega0 = make_initial_data(
-            cfg.initial_kind, Grid2D(cfg.n, cfg.length), **cfg.initial_params
-        )
-        times = [0.02, 0.05]  # snapshots every 2 steps
-        clean, violations = hm1_sweep(omega0, cfg.nu_ladder, times, cfg.dt)
+        cfg = patch_config(times=[0.02, 0.05])  # a snapshot every step
+        clean, violations = hm1_sweep(cfg)
         assert violations == []
         real = harness_mod.snapshots
         scaled = 0.0 if run == "euler" else cfg.nu_ladder[2]
@@ -594,18 +594,27 @@ class TestHm1Sweep:
                 yield s, values
 
         monkeypatch.setattr(harness_mod, "snapshots", scaling)
-        errs, violations = hm1_sweep(omega0, cfg.nu_ladder, times, cfg.dt)
+        errs, violations = hm1_sweep(cfg)
         assert errs == clean
         assert len(violations) == 1
         assert violations[0].startswith(f"nu={scaled} t=0.03: a-priori plus mass drift")
 
-    def test_time_off_the_step_grid_rejected(self):
-        from vvlab.fields import Grid2D
-        from vvlab.initial_data import make_initial_data
+    def test_time_off_the_step_grid_rejected(self, monkeypatch):
+        self.assert_refused_before_integration(monkeypatch, [0.013], "not a multiple of the snapshot")
 
-        omega0 = make_initial_data("taylor_green", Grid2D(16, 2 * math.pi))
-        with pytest.raises(ConfigError, match="time step"):
-            hm1_sweep(omega0, [1e-2], [0.013], 5e-3)
+    def test_repeated_time_rejected(self, monkeypatch):
+        self.assert_refused_before_integration(monkeypatch, [0.05, 0.05], "must not repeat")
+
+    @staticmethod
+    def assert_refused_before_integration(monkeypatch, times, message):
+        import vvlab.harness as harness_mod
+
+        def no_integration(*args):
+            raise AssertionError("integration started on an invalid config")
+
+        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        with pytest.raises(ConfigError, match=message):
+            hm1_sweep(small_config(times=times))
 
 
 class TestChainInvariants:

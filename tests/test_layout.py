@@ -105,6 +105,15 @@ def test_only_the_stream_and_the_collector_read_the_stepper():
     assert readers == {"harness._stream", "evolve.run_split"}
 
 
+def test_only_the_start_reads_the_initial_data_and_the_schedule():
+    # run_experiment, hm1_sweep and the resolution check's fine run all begin
+    # at harness._start; validate builds the schedule only to refuse a bad time
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert readers_of(tree, "make_initial_data", "harness") == {"harness._start"}
+    assert readers_of(tree, "_resolve_eval_times", "harness") == {"harness._start",
+                                                                  "harness.validate"}
+
+
 def test_no_module_imports_scipy_at_module_level():
     found = []
     for path in sorted(SRC.rglob("*.py")):

@@ -1,11 +1,14 @@
 """Smoke tests: the scripts under scripts/ run to completion on tiny inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+SMOKE = ROOT / "configs" / "smoke.yaml"
 
 
 def load_script(name: str):
@@ -18,10 +21,25 @@ def load_script(name: str):
 def test_rate_sweep(capsys):
     rate_sweep = load_script("rate_sweep")
     # four legs: the fewest fit_rate accepts
-    assert rate_sweep.main(["--n", "32", "--ladder", "4", "--times", "0.02"]) == 0
+    assert rate_sweep.main(["--config", str(SMOKE)]) == 0
     out = capsys.readouterr().out
-    assert "t=0.02: errors [" in out
+    assert "t=0.05: errors [" in out
     assert "exponent" in out
+
+
+def test_rate_sweep_prints_the_fit_of_vvlab_run(tmp_path, capsys):
+    # the same config and seed: the exponent and interval of the run's summary
+    from vvlab.cli import main
+
+    # seven legs, on which the bootstrap interval moves with its seed (default 0)
+    override = ["--seed", "3", "--nu_ladder", "[3e-2, 2.2e-2, 1.7e-2, 1.3e-2, 9.5e-3, 7e-3, 5.3e-3]"]
+    assert main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override]) == 0
+    summary = json.loads((tmp_path / "smoke-seed3" / "summary.json").read_text())
+    fit = summary["fits"]["0.05"]
+    capsys.readouterr()
+    assert load_script("rate_sweep").main(["--config", str(SMOKE), *override]) == 0
+    low, high = fit["ci"]
+    assert f"exponent {fit['exponent']:.4f} [{low:.4f}, {high:.4f}]" in capsys.readouterr().out
 
 
 def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
@@ -34,25 +52,46 @@ def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
 
     def scaling(plus, minus, scfg):
         for s, values in real(plus, minus, scfg):
-            if scfg.nu == 0 and s == 5:
+            if scfg.nu == 0 and s == 2:
                 values[0] *= 1.02
             yield s, values
 
     monkeypatch.setattr(harness_mod, "snapshots", scaling)
     rate_sweep = load_script("rate_sweep")
-    # dt = 2e-3: snapshots every 5 steps, the gcd of 10 and 25
-    assert rate_sweep.main(["--n", "32", "--ladder", "4", "--times", "0.02", "0.05"]) == 1
+    # dt = 5e-3 and a snapshot every step
+    assert rate_sweep.main(["--config", str(SMOKE), "--times", "[0.02, 0.05]"]) == 1
     captured = capsys.readouterr()
     assert "t=0.02: errors [" in captured.out and "t=0.05: errors [" in captured.out
     assert captured.err.startswith("invariant violation: nu=0.0 t=0.01: a-priori plus mass drift")
 
 
-def test_rate_sweep_rejects_short_ladder(capsys):
-    rate_sweep = load_script("rate_sweep")
-    with pytest.raises(SystemExit) as exit_info:
-        rate_sweep.main(["--n", "32", "--ladder", "3", "--times", "0.02"])
-    assert exit_info.value.code == 2
-    assert "at least 4" in capsys.readouterr().err
+def sweep_refused(monkeypatch, capsys, override) -> str:
+    """What rate_sweep prints on stderr for a config it refuses with exit 2,
+    which must come before any integration."""
+    import vvlab.harness as harness_mod
+
+    def no_integration(*args):
+        raise AssertionError("integration started on an invalid config")
+
+    monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+    assert load_script("rate_sweep").main(["--config", str(SMOKE), *override]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("override,message", [
+    (["--times", "[0.05, 0.05]"], "evaluation times must not repeat, got [0.05, 0.05]"),
+    (["--times", "[0.013]"], "evaluation time 0.013 is not a multiple of the snapshot interval"),
+    (["--grid.nn", "64"], "unknown config key(s) ['grid.nn']"),
+])
+def test_rate_sweep_config_error_exits_2(override, message, capsys, monkeypatch):
+    assert sweep_refused(monkeypatch, capsys, override).startswith(f"configuration error: {message}")
+
+
+def test_rate_sweep_rejects_short_ladder(capsys, monkeypatch):
+    err = sweep_refused(monkeypatch, capsys, ["--nu_ladder", "[3e-2, 1.7e-2, 9.5e-3]"])
+    assert err == "configuration error: a rate fit needs at least 4 viscosities, got 3\n"
 
 
 def test_crossover_scan(capsys):
