@@ -35,11 +35,14 @@ EXIT_CONFIG = 2
 EXIT_LEG_ERROR = 3
 
 
-def _positive_int(raw: str) -> int:
-    n = int(raw)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(raw: str) -> int:
+        n = int(raw)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return integer
 
 
 def _parse_overrides(extra: list[str]) -> list[tuple[str, str]]:
@@ -212,15 +215,15 @@ def main(argv=None) -> int:
     p_fit.add_argument("--json", help="also write the fits to this JSON file")
 
     p_check = sub.add_parser("check", help="run the invariant suites")
-    p_check.add_argument("--instances", type=_positive_int, default=200)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--instances", type=_at_least(1), default=200)
+    p_check.add_argument("--seed", type=_at_least(0), default=0)
 
     p_oracle = sub.add_parser("oracle", help="brute-force transport on small instances")
     p_oracle.add_argument("--instance", help="JSON instance file")
     atoms = range(1, BRUTE_FORCE_MAX_ATOMS + 1)  # what the brute-force oracle handles
-    p_oracle.add_argument("--atoms", type=_positive_int, default=6, choices=atoms,
+    p_oracle.add_argument("--atoms", type=_at_least(1), default=6, choices=atoms,
                           metavar=f"1..{atoms[-1]}")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_at_least(0), default=0)
     p_oracle.add_argument("--p", type=int, default=2, choices=(1, 2))
 
     args, extra = parser.parse_known_args(argv)

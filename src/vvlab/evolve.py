@@ -24,9 +24,10 @@ theirs. A snapshot inverts both parts and their undealiased velocity in one
 transform.
 
 :func:`snapshots` is the one driver: a generator that yields each snapshot as
-it is reached, in a fresh array, so a caller keeps only what it needs;
-:func:`run_split` keeps them all. :class:`AprioriMonitor`, fed them in order,
-checks the L1/Linf and mass bounds of a run.
+it is reached, in a fresh array, so a caller keeps only what it needs.
+:func:`run_split` reads every run once: it checks each snapshot against the
+L1/Linf and mass bounds with :class:`AprioriMonitor`, keeps the snapshots the
+caller asks for and hands it each interval's midpoint velocity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft2
 
-from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, require_mean_zero
+from vvlab.fields import Grid2D, ScalarField2D, require_mean_zero
 
 CFL_LIMIT = 0.5
 
@@ -222,46 +223,6 @@ def snapshots(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: Solv
             yield s, kernel.snapshot(w)
 
 
-@dataclass
-class SplitTrajectory:
-    """Positive/negative vorticity parts advected by the velocity of their difference.
-
-    The difference plus[i] - minus[i] coincides with the nonlinear solution, so
-    one split run yields both the signed parts and the full field.
-    ``velocity[i]`` is the Biot-Savart velocity of that difference.
-    """
-
-    times: list[float]
-    plus: list[ScalarField2D]
-    minus: list[ScalarField2D]
-    velocity: list[VectorField2D]
-    config: SolverConfig
-
-    def state_at(self, t: float):
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.plus[i], self.minus[i]
-
-    def full_at(self, t: float) -> ScalarField2D:
-        p, m = self.state_at(t)
-        return ScalarField2D(p.grid, p.values - m.values)
-
-
-def run_split(
-    omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig
-) -> SplitTrajectory:
-    """Every snapshot of :func:`snapshots`, kept as fields; the t = 0 parts are
-    the given field objects."""
-    grid = omega0_plus.grid
-    tr = SplitTrajectory(times=[], plus=[], minus=[], velocity=[], config=cfg)
-    for s, values in snapshots(omega0_plus, omega0_minus, cfg):
-        tr.times.append(s * cfg.dt)
-        tr.plus.append(ScalarField2D(grid, values[0]))
-        tr.minus.append(ScalarField2D(grid, values[1]))
-        tr.velocity.append(VectorField2D(grid, values[2], values[3]))
-    tr.plus[0], tr.minus[0] = omega0_plus, omega0_minus
-    return tr
-
-
 class AprioriMonitor:
     """The a-priori bounds of one split run (Chemin 1996), fed its snapshots in
     order: each part keeps its mass, and the L1 and Linf of plus - minus do not
@@ -285,3 +246,27 @@ class AprioriMonitor:
             counted = drift if i > 1 and self.nu > 0 else abs(drift)
             if counted > self.worst[0]:
                 self.worst = (counted, ("plus mass", "minus mass", "L1", "Linf")[i], t)
+
+
+def run_split(omega0_plus: ScalarField2D, omega0_minus: ScalarField2D, cfg: SolverConfig,
+              at_step: dict, interval=None) -> tuple:
+    """Read one run of :func:`snapshots` once, checking the a-priori bounds on
+    every snapshot. Given ``interval``, calls ``interval(h, mid)`` with each
+    interval's length and the mean of its end velocities, in one (2, n, n) work
+    array that the next interval rewrites. Returns the snapshots at the steps of
+    ``at_step`` ({solver step: t}), by t, and the run's a-priori violations (at most one)."""
+    monitor, kept, mid = AprioriMonitor(cfg.nu), {}, None
+    for s, values in snapshots(omega0_plus, omega0_minus, cfg):
+        t = s * cfg.dt
+        monitor.feed(t, values)
+        if s and interval is not None:
+            mid = np.add(u_prev, values[2:], out=mid)  # the first interval makes the work array
+            np.multiply(0.5, mid, out=mid)
+            interval(t - t_prev, mid)
+        if s in at_step:
+            kept[at_step[s]] = values
+        t_prev, u_prev = t, values[2:]
+    drift, what, t = monitor.worst
+    if drift <= monitor.TOL:
+        return kept, []
+    return kept, [f"nu={cfg.nu} t={t:.6g}: a-priori {what} drift {drift:.3e} exceeds {monitor.TOL}"]

@@ -29,7 +29,7 @@ from vvlab.coupling import (
     init_coupling,
     lemma1_ladder_stable,
 )
-from vvlab.evolve import AprioriMonitor, SolverConfig, SolverError, snapshots
+from vvlab.evolve import SolverConfig, SolverError, run_split
 from vvlab.fields import FieldError, Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
 from vvlab.initial_data import GENERATORS, KINDS, make_initial_data
 from vvlab.ratefit import fit_rate
@@ -276,8 +276,8 @@ def _resolve_eval_times(cfg: ExperimentConfig) -> dict:
 
 def _start(cfg: ExperimentConfig) -> tuple:
     """What every sweep of ``cfg`` starts from, once it is validated: the initial
-    vorticity, its signed parts, the inviscid run's SolverConfig and the
-    schedule {solver step: evaluation time} of its snapshots."""
+    vorticity, its signed parts (plus, minus), the inviscid run's SolverConfig
+    and the schedule {solver step: evaluation time} of its snapshots."""
     cfg.validate()
     try:
         omega0 = make_initial_data(cfg.initial_kind, Grid2D(cfg.n, cfg.length),
@@ -287,7 +287,8 @@ def _start(cfg: ExperimentConfig) -> tuple:
     at_step = _resolve_eval_times(cfg)
     scfg = SolverConfig(nu=0.0, dt=cfg.dt, t_end=max(at_step.values()),
                         record_every=cfg.record_every)
-    return omega0, split_signed(omega0), scfg, at_step
+    split = split_signed(omega0)
+    return omega0, (split.plus, split.minus), scfg, at_step
 
 
 def _hm1_error(grid: Grid2D, a, b) -> float:
@@ -300,13 +301,13 @@ def hm1_sweep(cfg: ExperimentConfig) -> tuple:
     """The velocity L2 errors of ``cfg``'s ladder against Euler, {t: [error per nu]},
     the ``err_l2_velocity`` column of :func:`run_experiment`, and its runs' a-priori
     violations; H^-1 only, no transport or coupling. The inviscid run and each
-    viscous run are read by :func:`_stream`, on the snapshots a run reads.
+    viscous run are read by :func:`vvlab.evolve.run_split`, on the snapshots a run reads.
     """
-    omega0, split0, scfg, at_step = _start(cfg)
-    euler, violations = _stream(split0, scfg, at_step)
+    omega0, parts0, scfg, at_step = _start(cfg)
+    euler, violations = run_split(*parts0, scfg, at_step)
     errs = {t: [] for t in at_step.values()}
     for nu in cfg.nu_ladder:
-        kept, leg_violations = _stream(split0, replace(scfg, nu=nu), at_step)
+        kept, leg_violations = run_split(*parts0, replace(scfg, nu=nu), at_step)
         violations += leg_violations
         for t, col in errs.items():
             col.append(_hm1_error(omega0.grid, kept[t], euler[t]))
@@ -314,7 +315,7 @@ def hm1_sweep(cfg: ExperimentConfig) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
-    omega0, split0, scfg_euler, at_step = _start(cfg)
+    omega0, parts0, scfg_euler, at_step = _start(cfg)
     grid, norms0 = omega0.grid, norms(omega0)
 
     # the inviscid reference, read once: a copy of each interval's midpoint
@@ -325,17 +326,17 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     def keep_midpoint(h, mid):
         euler_mid.append(VectorField2D(grid, *mid.copy()))
 
-    euler_at, invariant_violations = _stream(split0, scfg_euler, at_step, keep_midpoint)
+    euler_at, invariant_violations = run_split(*parts0, scfg_euler, at_step, keep_midpoint)
     # their parts' measures, shared by the ladder
     euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
     method, eps = cfg.transport_method, cfg.transport_epsilon
 
     def evaluate_leg(leg: int, nu: float):
-        """Stream one viscous leg once, then its rows, invariant violations,
+        """Read one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
-        snapshots go with its frame, before the next leg streams. Its coupling
+        snapshots go with its frame, before the next leg is read. Its coupling
         steps on each interval's midpoint velocities, the viscous one the
-        stream's work array."""
+        work array of ``run_split``."""
         ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
         inviscid, entries = iter(euler_mid), [estimate_q(ens)]
 
@@ -343,7 +344,7 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
             advance_coupling(ens, next(inviscid), VectorField2D(grid, *mid), nu, h)
             entries.append(estimate_q(ens))
 
-        kept, violations = _stream(split0, replace(scfg_euler, nu=nu), at_step, advance)
+        kept, violations = run_split(*parts0, replace(scfg_euler, nu=nu), at_step, advance)
         series = QSeries(entries=entries)
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
         leg_rows = []
@@ -421,30 +422,6 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     )
 
 
-def _stream(split0, scfg: SolverConfig, at_step: dict, interval=None) -> tuple:
-    """Read one run of :func:`snapshots` from the initial parts ``split0`` once,
-    checking the a-priori bounds on every snapshot. Given ``interval``, calls
-    ``interval(h, mid)`` with each interval's length and the mean of its end
-    velocities, in one (2, n, n) work array that the next interval rewrites.
-    Returns the snapshots at the steps of ``at_step``, by its time, and the
-    run's a-priori violations (at most one)."""
-    monitor, kept, mid = AprioriMonitor(scfg.nu), {}, None
-    for s, values in snapshots(split0.plus, split0.minus, scfg):
-        t = s * scfg.dt
-        monitor.feed(t, values)
-        if s and interval is not None:
-            mid = np.add(u_prev, values[2:], out=mid)  # the first interval makes the work array
-            np.multiply(0.5, mid, out=mid)
-            interval(t - t_prev, mid)
-        if s in at_step:
-            kept[at_step[s]] = values
-        t_prev, u_prev = t, values[2:]
-    drift, what, t = monitor.worst
-    if drift <= monitor.TOL:
-        return kept, []
-    return kept, [f"nu={scfg.nu} t={t:.6g}: a-priori {what} drift {drift:.3e} exceeds {monitor.TOL}"]
-
-
 def _part_measures(grid: Grid2D, values, max_support: int) -> list:
     """Measures of the (clipped) positive and negative parts values[0], values[1] of a snapshot."""
     return [field_to_measure(_clip_nonneg(ScalarField2D(grid, v)), max_support=max_support)
@@ -496,11 +473,11 @@ def _check_chain(row: RateRow, norms0, violations, series) -> None:
 def _resolution_check(cfg: ExperimentConfig, end: int, euler_end, rows) -> tuple:
     """Grid-doubling estimate of the discretization error of the inviscid
     reference run of ``cfg``, whose snapshot at its last step ``end`` is
-    ``euler_end``: its flag, and the fine run's a-priori violations."""
+    ``euler_end``: its flag, and the fine run's a-priori violations from ``run_split``."""
     # one snapshot interval of ``end`` steps: only the end state is transformed
     fine_cfg = replace(cfg, n=2 * cfg.n, times=[end * cfg.dt], record_every=end)
-    _, split_f, scfg, at_step = _start(fine_cfg)
-    kept, violations = _stream(split_f, scfg, at_step)
+    _, parts, scfg, at_step = _start(fine_cfg)
+    kept, violations = run_split(*parts, scfg, at_step)
     (fine_end,) = kept.values()
     # restrict the fine solution to the coarse grid
     diff = (euler_end[0] - euler_end[1]) - (fine_end[0] - fine_end[1])[::2, ::2]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vvlab import evolve
 from vvlab.fields import Grid2D, ScalarField2D
 
 
@@ -57,6 +58,13 @@ def random_mean_zero_field(grid: Grid2D, seed: int, k_max: int = 8) -> ScalarFie
     vals = np.fft.ifft2(coef).real
     vals -= vals.mean()
     return ScalarField2D(grid, vals)
+
+
+def split_snapshots(plus: ScalarField2D, minus: ScalarField2D, cfg) -> list:
+    """Every snapshot of the split run of the parts (plus, minus) under the
+    SolverConfig ``cfg``, as (t, values) pairs: the whole trajectory, which no
+    program code keeps."""
+    return [(s * cfg.dt, values) for s, values in evolve.snapshots(plus, minus, cfg)]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from vvlab import evolve
 from vvlab.cli import EXIT_CONFIG, EXIT_LEG_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from vvlab.harness import summary_schema
 from vvlab.io import write_csv
@@ -105,13 +106,11 @@ class TestRunVerb:
         ["--transport.method", "sinkhorn", "--transport.epsilon", ".inf"],  # NaN W columns
     ])
     def test_invalid_smoke_override_is_config_error(self, override, tmp_path, monkeypatch):
-        import vvlab.harness as harness_mod
-
         def no_integration(*args):
             raise AssertionError("integration started on an invalid config")
 
         # the Euler reference and every leg
-        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        monkeypatch.setattr(evolve, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
 
@@ -139,13 +138,11 @@ class TestRunVerb:
         ["--initial_data.params.bogus", "3"],
     ])
     def test_bad_initial_data_is_config_error(self, override, tmp_path, monkeypatch, capsys):
-        import vvlab.harness as harness_mod
-
         def no_integration(*args):
             raise AssertionError("integration started on invalid initial data")
 
         # the Euler reference and every leg
-        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        monkeypatch.setattr(evolve, "snapshots", no_integration)
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
@@ -209,17 +206,14 @@ class TestRunVerb:
     def check_failed_leg(self, fail_at, tiny_config, tmp_path, monkeypatch, capsys):
         """A run whose leg ``failing`` raises a SolverError in its stream just
         before the snapshot at step ``fail_at``, against a clean run."""
-        import vvlab.harness as harness_mod
-        from vvlab.evolve import SolverError
-
         # two evaluation times (steps 4 and 10) and a Q series long enough for lemma 1
         override = ["--times", "[0.02, 0.05]", "--solver.record_every", "1"]
-        failing, real = 9.5e-3, harness_mod.snapshots
+        failing, real = 9.5e-3, evolve.snapshots
 
         def snapshots(plus, minus, scfg):
             for s, values in real(plus, minus, scfg):
                 if scfg.nu == failing and s == fail_at:
-                    raise SolverError("injected blow-up")
+                    raise evolve.SolverError("injected blow-up")
                 yield s, values
 
         def run(name):
@@ -233,7 +227,7 @@ class TestRunVerb:
             return rows, json.loads((outdir / "summary.json").read_text()), q_files
 
         assert run("a") == EXIT_OK
-        monkeypatch.setattr(harness_mod, "snapshots", snapshots)
+        monkeypatch.setattr(evolve, "snapshots", snapshots)
         assert run("b") == EXIT_LEG_ERROR
         assert "injected blow-up" in capsys.readouterr().err
 
@@ -261,13 +255,11 @@ class TestRunVerb:
 
     def test_unusable_output_dir_is_config_error_before_the_run(self, tiny_config, tmp_path,
                                                                 monkeypatch, capsys):
-        import vvlab.harness as harness_mod
-
         def no_integration(*args):
             raise AssertionError("integration started before the output directory was made")
 
         # the Euler reference and every leg
-        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        monkeypatch.setattr(evolve, "snapshots", no_integration)
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         code = main(["run", "--config", str(tiny_config), "--output", str(blocker / "out")])
@@ -345,6 +337,13 @@ class TestCheckVerb:
         assert exit_info.value.code == EXIT_CONFIG
         assert "must be >= 1" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, capsys):
+        # numpy's random generators take no negative seed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--seed", "-1"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestOracleVerb:
     def test_random_instance_agrees(self, capsys):
@@ -357,6 +356,13 @@ class TestOracleVerb:
             main(["oracle", "--atoms", "0"])
         assert exit_info.value.code == EXIT_CONFIG
         assert "must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, capsys):
+        # numpy's random generators take no negative seed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["oracle", "--seed", "-1"])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_more_atoms_than_the_oracle_handles_rejected(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

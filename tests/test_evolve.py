@@ -10,7 +10,7 @@ from vvlab.evolve import AprioriMonitor, SolverConfig, SolverError, run_split
 from vvlab.fields import Grid2D, NotMeanZeroError, ScalarField2D, biot_savart, norms
 from vvlab.initial_data import make_initial_data, taylor_green_decay_rate
 from vvlab.transport import split_signed
-from tests.conftest import random_mean_zero_field
+from tests.conftest import random_mean_zero_field, split_snapshots
 
 
 @pytest.fixture
@@ -19,14 +19,26 @@ def tg64(grid64):
 
 
 def split_run(omega, cfg):
-    """The split run of ``omega``: its signed parts advected by their difference."""
+    """Every snapshot of the split run of ``omega`` (its signed parts advected
+    by their difference) as (t, values)."""
     sp = split_signed(omega)
-    return run_split(sp.plus, sp.minus, cfg)
+    return split_snapshots(sp.plus, sp.minus, cfg)
+
+
+def full(grid, values) -> ScalarField2D:
+    """The full field plus - minus of one snapshot."""
+    return ScalarField2D(grid, values[0] - values[1])
+
+
+def final(omega, cfg):
+    """The full field at the end of the split run of ``omega``."""
+    (*_, (_, values)) = split_run(omega, cfg)
+    return full(omega.grid, values)
 
 
 def one_step(omega, cfg):
     """The full field after one solver step of ``cfg`` (a split run with t_end = dt)."""
-    return split_run(omega, replace(cfg, t_end=cfg.dt)).full_at(cfg.dt)
+    return final(omega, replace(cfg, t_end=cfg.dt))
 
 
 def dealiased_id(value):
@@ -35,9 +47,9 @@ def dealiased_id(value):
     return f"{value}-True"
 
 
-def monitors(tr):
-    """Norms of the full field at every snapshot of a split run."""
-    return [norms(tr.full_at(t)) for t in tr.times]
+def monitors(omega, cfg):
+    """Norms of the full field at every snapshot of the split run of ``omega``."""
+    return [norms(full(omega.grid, values)) for _, values in split_run(omega, cfg)]
 
 
 class TestStep:
@@ -79,7 +91,7 @@ class TestStep:
 
         def advance(dt, steps):
             cfg = SolverConfig(nu=0.0, dt=dt, t_end=steps * dt, record_every=steps)
-            return split_run(w, cfg).full_at(cfg.t_end).values
+            return final(w, cfg).values
 
         dt = 0.02
         ref = advance(dt / 8, 8)
@@ -93,31 +105,29 @@ class TestStep:
 class TestRun:
     def test_taylor_green_regression(self, grid64, tg64):
         cfg = SolverConfig(nu=0.01, dt=1e-3, t_end=1.0, record_every=250)
-        tr = split_run(tg64, cfg)
         exact = tg64.values * math.exp(-taylor_green_decay_rate(grid64, 0.01) * 1.0)
-        num = tr.full_at(1.0).values
+        num = final(tg64, cfg).values
         rel = np.sqrt(((num - exact) ** 2).sum() / (exact ** 2).sum())
         assert rel < 1e-6
 
     def test_times_strictly_increasing_and_mean_zero(self, grid64):
         w = random_mean_zero_field(grid64, 5)
         tr = split_run(w, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=5))
-        assert all(b > a for a, b in zip(tr.times, tr.times[1:]))
-        assert all(tr.full_at(t).mean_zero for t in tr.times)
+        assert all(b > a for (a, _), (b, _) in zip(tr, tr[1:]))
+        assert all(full(grid64, values).mean_zero for _, values in tr)
 
     def test_euler_patch_norms_conserved(self):
         g = Grid2D(128, 1.0)
         w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.45)
-        tr = split_run(w0, SolverConfig(nu=0.0, dt=2e-3, t_end=0.2, record_every=25))
-        rep0, *later = monitors(tr)
+        rep0, *later = monitors(w0, SolverConfig(nu=0.0, dt=2e-3, t_end=0.2, record_every=25))
         for rep in later:
             assert rep.l1 == pytest.approx(rep0.l1, rel=1e-2)
             assert rep.linf == pytest.approx(rep0.linf, rel=1e-2)
 
     def test_viscous_linf_non_increasing(self, grid64):
         w = random_mean_zero_field(grid64, 8)
-        tr = split_run(w, SolverConfig(nu=0.02, dt=2e-3, t_end=0.1, record_every=10))
-        linfs = [m.linf for m in monitors(tr)]
+        cfg = SolverConfig(nu=0.02, dt=2e-3, t_end=0.1, record_every=10)
+        linfs = [m.linf for m in monitors(w, cfg)]
         for a, b in zip(linfs, linfs[1:]):
             assert b <= a + 1e-6
 
@@ -136,8 +146,8 @@ class TestRun:
                 spec_f[mi % 64, mj % 64] = spec_c[i, j] * 4.0
         w_fine = ScalarField2D(fine, np.fft.ifft2(spec_f).real)
         cfg = SolverConfig(nu=1e-3, dt=5e-3, t_end=0.1, record_every=20)
-        out32 = split_run(w_coarse, cfg).full_at(0.1).values
-        out64 = split_run(w_fine, cfg).full_at(0.1).values
+        out32 = final(w_coarse, cfg).values
+        out64 = final(w_fine, cfg).values
         sub = out64[::2, ::2]
         rel = np.abs(out32 - sub).max() / np.abs(sub).max()
         assert rel < 1e-5
@@ -147,29 +157,26 @@ class TestSplitRun:
     def test_difference_matches_nonlinear_run(self):
         g = Grid2D(64, 1.0)
         w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.4)
-        sp = split_signed(w0)
         cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=5)
-        split_tr = run_split(sp.plus, sp.minus, cfg)
-        (*_, full) = reference_integrate([w0], cfg, 25)
-        diff = split_tr.full_at(0.05).values - full[0]
+        (*_, ref) = reference_integrate([w0], cfg, 25)
+        diff = final(w0, cfg).values - ref[0]
         assert np.abs(diff).max() < 1e-11
 
     def test_rejects_parts_whose_difference_has_a_mean(self, grid64):
         sp = split_signed(make_initial_data("patch_pair", grid64, radius=0.12, separation=0.4))
         zero = ScalarField2D(grid64, np.zeros((64, 64)))
         with pytest.raises(NotMeanZeroError, match="time stepping"):
-            run_split(sp.plus, zero, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.01))
+            split_snapshots(sp.plus, zero, SolverConfig(nu=1e-3, dt=2e-3, t_end=0.01))
 
     def test_split_masses_conserved(self):
         g = Grid2D(64, 1.0)
         w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.4)
         sp = split_signed(w0)
         cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.05, record_every=25)
-        tr = run_split(sp.plus, sp.minus, cfg)
         m0 = norms(sp.plus).l1
-        for p in tr.plus:
+        for _, values in split_snapshots(sp.plus, sp.minus, cfg):
             # advection-diffusion of a nonnegative scalar conserves its integral
-            assert p.grid.spacing ** 2 * p.values.sum() == pytest.approx(m0, rel=1e-10)
+            assert g.spacing ** 2 * values[0].sum() == pytest.approx(m0, rel=1e-10)
 
     def test_snapshots_yield_fresh_arrays_at_the_snapshot_steps(self, grid32):
         sp = split_signed(make_initial_data("patch_pair", grid32, radius=0.15, separation=0.4))
@@ -179,10 +186,26 @@ class TestSplitRun:
         assert all(v.shape == (4, 32, 32) for _, v in seen)
         assert not any(np.shares_memory(a, b) for (_, a), (_, b) in zip(seen, seen[1:]))
         assert np.array_equal(seen[0][1][:2], np.stack([sp.plus.values, sp.minus.values]))
-        tr = run_split(sp.plus, sp.minus, cfg)
-        for (s, v), t, p, m, u in zip(seen, tr.times, tr.plus, tr.minus, tr.velocity):
-            assert t == s * cfg.dt
-            assert np.array_equal(v, np.stack([p.values, m.values, u.u1, u.u2]))
+
+    def test_run_split_keeps_the_asked_snapshots_and_averages_each_interval(self, grid32):
+        sp = split_signed(make_initial_data("patch_pair", grid32, radius=0.15, separation=0.4))
+        cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.014, record_every=3)
+        seen = split_snapshots(sp.plus, sp.minus, cfg)  # steps 0, 3, 6 and 7
+        lengths, mids, work = [], [], []
+
+        def interval(h, mid):
+            lengths.append(h)
+            mids.append(mid.copy())
+            work.append(mid)
+
+        kept, violations = run_split(sp.plus, sp.minus, cfg, {3: 0.006, 7: 0.014}, interval)
+        assert violations == []
+        assert list(kept) == [0.006, 0.014]
+        assert np.array_equal(kept[0.006], seen[1][1]) and np.array_equal(kept[0.014], seen[3][1])
+        assert lengths == pytest.approx([0.006, 0.006, 0.002])
+        for mid, (_, a), (_, b) in zip(mids, seen, seen[1:]):
+            assert np.array_equal(mid, 0.5 * (a[2:] + b[2:]))
+        assert all(w is work[0] for w in work)  # one work array, rewritten
 
     @pytest.mark.parametrize("datum", ["patch_pair", "full_spectrum"], ids=dealiased_id)
     def test_snapshot_velocity_is_biot_savart(self, datum):
@@ -191,25 +214,21 @@ class TestSplitRun:
             w0 = make_initial_data("patch_pair", g, radius=0.12, separation=0.4)
         else:  # energy up to the Nyquist row and column
             w0 = random_mean_zero_field(g, 12, k_max=46)
-        sp = split_signed(w0)
         cfg = SolverConfig(nu=1e-3, dt=2e-3, t_end=0.02, record_every=5)
-        tr = run_split(sp.plus, sp.minus, cfg)
-        assert tr.times == pytest.approx([0.0, 0.01, 0.02])
-        assert len(tr.velocity) == len(tr.plus) == len(tr.minus) == 3
-        assert tr.plus[0] is sp.plus and tr.minus[0] is sp.minus
-        for t, u in zip(tr.times, tr.velocity):
-            ref = biot_savart(tr.full_at(t))
+        tr = split_run(w0, cfg)
+        assert [t for t, _ in tr] == pytest.approx([0.0, 0.01, 0.02])
+        for _, values in tr:
+            ref = biot_savart(full(g, values))
             scale = max(np.abs(ref.u1).max(), np.abs(ref.u2).max())
-            assert np.abs(u.u1 - ref.u1).max() <= 1e-13 * scale
-            assert np.abs(u.u2 - ref.u2).max() <= 1e-13 * scale
+            assert np.abs(values[2] - ref.u1).max() <= 1e-13 * scale
+            assert np.abs(values[3] - ref.u2).max() <= 1e-13 * scale
 
 
 def monitored(omega, cfg):
     """An AprioriMonitor fed every snapshot of the split run of ``omega``, and
     those snapshots as (t, values)."""
-    sp = split_signed(omega)
     monitor = AprioriMonitor(cfg.nu)
-    fed = [(s * cfg.dt, values) for s, values in evolve.snapshots(sp.plus, sp.minus, cfg)]
+    fed = split_run(omega, cfg)
     for t, values in fed:
         monitor.feed(t, values)
     return monitor, fed
@@ -359,9 +378,9 @@ class TestKernelMatchesComplexReference:
         cfg = SolverConfig(nu=nu, dt=2e-3, t_end=0.012, record_every=2)
         ref = reference_integrate([strong], cfg, 6)
         tr = split_run(strong, cfg)
-        assert tr.times == pytest.approx([0.0, 0.004, 0.008, 0.012])
-        for t, r in zip(tr.times[1:], ref[1::2]):
-            assert _rel_err(tr.full_at(t).values, r[0]) <= 1e-12
+        assert [t for t, _ in tr] == pytest.approx([0.0, 0.004, 0.008, 0.012])
+        for (_, values), r in zip(tr[1:], ref[1::2]):
+            assert _rel_err(full(strong.grid, values).values, r[0]) <= 1e-12
 
     @pytest.mark.parametrize("nu", KERNEL_CASES)
     def test_run_split(self, grid32, nu):
@@ -369,9 +388,9 @@ class TestKernelMatchesComplexReference:
         sp = split_signed(w0)
         cfg = SolverConfig(nu=nu, dt=4e-3, t_end=0.02, record_every=5)
         (*_, ref) = reference_integrate([sp.plus, sp.minus], cfg, 5, vel_pair=(0, 1))
-        plus, minus = run_split(sp.plus, sp.minus, cfg).state_at(0.02)
-        assert _rel_err(plus.values, ref[0]) <= 1e-12
-        assert _rel_err(minus.values, ref[1]) <= 1e-12
+        (*_, (_, values)) = split_snapshots(sp.plus, sp.minus, cfg)
+        assert _rel_err(values[0], ref[0]) <= 1e-12
+        assert _rel_err(values[1], ref[1]) <= 1e-12
 
 
 def scipy_step(kernel, w):

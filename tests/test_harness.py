@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from vvlab import evolve
 from vvlab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -382,30 +383,50 @@ class TestRunExperiment:
         import vvlab.harness as harness_mod
         from vvlab import fields
 
-        calls, real_stream, runs = [], harness_mod.snapshots, []
+        calls, real_stream, runs = [], evolve.snapshots, []
 
         def counting_stream(plus, minus, scfg):
             runs.append(scfg.nu)
             return real_stream(plus, minus, scfg)
 
         monkeypatch.setattr(fields, "biot_savart", calls.append)
-        monkeypatch.setattr(harness_mod, "snapshots", counting_stream)
+        monkeypatch.setattr(evolve, "snapshots", counting_stream)
         cfg = patch_config(times=[0.025, 0.05])
         series = run_experiment(cfg)
         assert series.errors == [] and len(series.rows) == len(cfg.nu_ladder) * len(cfg.times)
         assert calls == []
         assert not hasattr(harness_mod, "biot_savart")
-        assert not hasattr(harness_mod, "run_split")
         assert runs == [0.0, *cfg.nu_ladder]
+
+    def test_every_run_is_read_by_evolve_run_split(self, monkeypatch):
+        # the one reader of the stepper, which checks every run's a-priori
+        # bounds: the Euler reference, each leg in ladder order, then the
+        # resolution check's fine run; hm1_sweep reads the Euler run and the legs
+        import vvlab.harness as harness_mod
+
+        assert harness_mod.run_split is evolve.run_split
+        runs = []
+
+        def counting(plus, minus, scfg, *args):
+            runs.append((plus.grid.n, scfg.nu))
+            return evolve.run_split(plus, minus, scfg, *args)
+
+        monkeypatch.setattr(harness_mod, "run_split", counting)
+        cfg = patch_config(times=[0.025, 0.05], check_resolution=True)
+        series = run_experiment(cfg)
+        assert series.errors == [] and series.flags["resolution_check"] != "skipped"
+        euler_and_legs = [(cfg.n, nu) for nu in [0.0, *cfg.nu_ladder]]
+        assert runs == euler_and_legs + [(2 * cfg.n, 0.0)]
+        runs.clear()
+        hm1_sweep(cfg)
+        assert runs == euler_and_legs
 
     def test_euler_reference_keeps_only_its_evaluation_snapshots(self, monkeypatch):
         # while a leg streams, of the arrays the Euler run yielded only the
         # snapshots at the evaluation times are alive; its velocities are copies
         import weakref
 
-        import vvlab.harness as harness_mod
-
-        real, euler, alive = harness_mod.snapshots, [], []
+        real, euler, alive = evolve.snapshots, [], []
 
         def watching(plus, minus, scfg):
             for s, values in real(plus, minus, scfg):
@@ -415,7 +436,7 @@ class TestRunExperiment:
                     alive.append(sum(ref() is not None for ref in euler))
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "snapshots", watching)
+        monkeypatch.setattr(evolve, "snapshots", watching)
         cfg = patch_config(times=[0.025, 0.05])
         series = run_experiment(cfg)
         assert series.errors == []
@@ -451,9 +472,7 @@ class TestRunExperiment:
 
     def test_velocity_cross_check_is_live(self, monkeypatch):
         # a perturbed snapshot velocity no longer matches the H^-1 error of the parts
-        import vvlab.harness as harness_mod
-
-        real = harness_mod.snapshots
+        real = evolve.snapshots
         cfg = patch_config(times=[0.025, 0.05])
         perturbed = cfg.nu_ladder[2]
 
@@ -463,7 +482,7 @@ class TestRunExperiment:
                     values[2] += 1e-3
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "snapshots", perturbing)
+        monkeypatch.setattr(evolve, "snapshots", perturbing)
         series = run_experiment(cfg)
         flagged = [v for v in series.invariant_violations if "u-velocity L2" in v]
         assert len(flagged) == 1
@@ -474,9 +493,7 @@ class TestRunExperiment:
         # one snapshot's plus part scaled by 1.02 drifts that run's mass by 2e-2,
         # an invariant violation of its run, not a leg error; "fine" is the
         # resolution check's Euler run on the doubled grid, read at steps 0 and 10
-        import vvlab.harness as harness_mod
-
-        real = harness_mod.snapshots
+        real = evolve.snapshots
         cfg = patch_config(times=[0.025, 0.05], check_resolution=run == "fine")
         scaled = cfg.nu_ladder[2] if run == "leg" else 0.0
         n, step = (2 * cfg.n, 10) if run == "fine" else (cfg.n, 3)
@@ -487,7 +504,7 @@ class TestRunExperiment:
                     values[0] *= 1.02
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "snapshots", scaling)
+        monkeypatch.setattr(evolve, "snapshots", scaling)
         series = run_experiment(cfg)
         assert series.errors == []
         flagged = [v for v in series.invariant_violations if "a-priori" in v]
@@ -497,13 +514,12 @@ class TestRunExperiment:
     def test_q_agrees_with_biot_savart_velocities(self, monkeypatch, tmp_path):
         # the coupling driven by velocities re-solved from each snapshot, as
         # before the stepper handed out its own
-        import vvlab.harness as harness_mod
         from vvlab.fields import ScalarField2D, biot_savart
 
         cfg = patch_config(times=[0.025, 0.05])
         stepper = run_experiment(cfg)
         emit_report(stepper, cfg, tmp_path / "stepper")
-        real_stream = harness_mod.snapshots
+        real_stream = evolve.snapshots
 
         # the Euler reference and every leg
         def resolved_stream(plus, minus, scfg):
@@ -512,7 +528,7 @@ class TestRunExperiment:
                 values[2:] = u.u1, u.u2
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "snapshots", resolved_stream)
+        monkeypatch.setattr(evolve, "snapshots", resolved_stream)
         resolved_series = run_experiment(cfg)
         emit_report(resolved_series, cfg, tmp_path / "resolved")
         assert resolved_series.invariant_violations == stepper.invariant_violations == []
@@ -547,8 +563,6 @@ class TestHm1Sweep:
     def test_is_the_error_column_of_the_run(self, monkeypatch, make):
         # the same runs, each read on the same snapshot steps, give the run's
         # err_l2_velocity column bit for bit
-        from vvlab import evolve
-
         kernels = []
 
         class Recording(evolve._Kernel):
@@ -579,12 +593,10 @@ class TestHm1Sweep:
     def test_apriori_check_is_live(self, monkeypatch, run):
         # one snapshot's plus part scaled by 1.02, off the evaluation times, is
         # one violation naming its run; the errors are still those of a clean sweep
-        import vvlab.harness as harness_mod
-
         cfg = patch_config(times=[0.02, 0.05])  # a snapshot every step
         clean, violations = hm1_sweep(cfg)
         assert violations == []
-        real = harness_mod.snapshots
+        real = evolve.snapshots
         scaled = 0.0 if run == "euler" else cfg.nu_ladder[2]
 
         def scaling(plus, minus, scfg):
@@ -593,7 +605,7 @@ class TestHm1Sweep:
                     values[0] *= 1.02
                 yield s, values
 
-        monkeypatch.setattr(harness_mod, "snapshots", scaling)
+        monkeypatch.setattr(evolve, "snapshots", scaling)
         errs, violations = hm1_sweep(cfg)
         assert errs == clean
         assert len(violations) == 1
@@ -607,12 +619,10 @@ class TestHm1Sweep:
 
     @staticmethod
     def assert_refused_before_integration(monkeypatch, times, message):
-        import vvlab.harness as harness_mod
-
         def no_integration(*args):
             raise AssertionError("integration started on an invalid config")
 
-        monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+        monkeypatch.setattr(evolve, "snapshots", no_integration)
         with pytest.raises(ConfigError, match=message):
             hm1_sweep(small_config(times=times))
 

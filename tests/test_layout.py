@@ -3,6 +3,7 @@ against unused public code."""
 
 import ast
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -96,13 +97,38 @@ def readers_of(node, name: str, scope: str) -> set:
     return out
 
 
-def test_only_the_stream_and_the_collector_read_the_stepper():
-    # every run of the package goes through harness._stream, which checks its
-    # a-priori bounds; evolve.run_split keeps a whole run for the tests and the bench
+def test_only_run_split_reads_the_stepper():
+    # every run of the package goes through evolve.run_split, which checks its
+    # a-priori bounds and is the function the bench's evolve.run_split span times
     trees = parsed(sorted(SRC.rglob("*.py")))
     readers = set().union(*(readers_of(tree, "snapshots", path.stem)
                             for path, tree in trees.items()))
-    assert readers == {"harness._stream", "evolve.run_split"}
+    assert readers == {"evolve.run_split"}
+
+
+def bench_spans(monkeypatch):
+    """``bench/spans.py``, loaded from its file, which the tests do not change."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while it loads
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_span_has_a_call_target(monkeypatch):
+    # a span left without a target is reported by the bench, not raised; here
+    # it fails the tests instead
+    import vvlab.evolve
+    import vvlab.harness
+
+    spans = bench_spans(monkeypatch)
+    targets = {layer.span: spans.Tracer._resolve(vvlab.harness, layer) for layer in spans.LAYERS}
+    assert [span for span, target in targets.items() if target is None] == []
+    # the stepper's span wraps the name the harness calls, which is evolve.run_split
+    owner, attr = targets["evolve.run_split"]
+    assert owner is vvlab.harness
+    assert getattr(owner, attr) is vvlab.evolve.run_split
 
 
 def test_only_the_start_reads_the_initial_data_and_the_schedule():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from vvlab import evolve
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 SMOKE = ROOT / "configs" / "smoke.yaml"
@@ -46,9 +48,7 @@ def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
     # the Euler run's plus part scaled by 1.02 at a snapshot off the evaluation
     # times breaks its a-priori bounds: the errors are still printed, the
     # violation goes to stderr
-    import vvlab.harness as harness_mod
-
-    real = harness_mod.snapshots
+    real = evolve.snapshots
 
     def scaling(plus, minus, scfg):
         for s, values in real(plus, minus, scfg):
@@ -56,7 +56,7 @@ def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
                 values[0] *= 1.02
             yield s, values
 
-    monkeypatch.setattr(harness_mod, "snapshots", scaling)
+    monkeypatch.setattr(evolve, "snapshots", scaling)
     rate_sweep = load_script("rate_sweep")
     # dt = 5e-3 and a snapshot every step
     assert rate_sweep.main(["--config", str(SMOKE), "--times", "[0.02, 0.05]"]) == 1
@@ -68,12 +68,10 @@ def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
 def sweep_refused(monkeypatch, capsys, override) -> str:
     """What rate_sweep prints on stderr for a config it refuses with exit 2,
     which must come before any integration."""
-    import vvlab.harness as harness_mod
-
     def no_integration(*args):
         raise AssertionError("integration started on an invalid config")
 
-    monkeypatch.setattr(harness_mod, "snapshots", no_integration)
+    monkeypatch.setattr(evolve, "snapshots", no_integration)
     assert load_script("rate_sweep").main(["--config", str(SMOKE), *override]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
