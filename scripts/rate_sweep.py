@@ -18,7 +18,8 @@ import sys
 import time
 
 from vvlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_config
-from vvlab.harness import ConfigError, hm1_sweep
+from vvlab.config import ConfigError
+from vvlab.harness import hm1_sweep
 from vvlab.ratefit import fit_rate
 
 

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from vvlab.harness import ConfigError, ExperimentConfig, apply_override, emit_report, run_experiment
+from vvlab.config import ConfigError, ExperimentConfig, apply_override, parse_overrides
+from vvlab.harness import emit_report, run_experiment
 from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
 
 EXIT_OK = 0
@@ -43,26 +44,6 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
     return integer
-
-
-def _parse_overrides(extra: list[str]) -> list[tuple[str, str]]:
-    """Flags of the form ``--grid.n 256`` mirror config paths."""
-    out = []
-    i = 0
-    while i < len(extra):
-        tok = extra[i]
-        if not tok.startswith("--"):
-            raise ConfigError(f"unrecognized argument {tok!r} (expected --path.to.key value)")
-        if "=" in tok:
-            path, raw = tok[2:].split("=", 1)
-            i += 1
-        else:
-            if i + 1 >= len(extra):
-                raise ConfigError(f"missing value for override {tok!r}")
-            path, raw = tok[2:], extra[i + 1]
-            i += 2
-        out.append((path, raw))
-    return out
 
 
 def _read(path: str, parse):
@@ -82,7 +63,7 @@ def load_config(path: str, extra: list[str]) -> ExperimentConfig:
     ``--path.to.key value`` overrides in ``extra``; a file, an override or a
     config that cannot be read or used is a configuration error."""
     tree = _read(path, yaml.safe_load) or {}
-    for key, raw in _parse_overrides(extra):
+    for key, raw in parse_overrides(extra):
         apply_override(tree, key, raw)
     return ExperimentConfig.from_nested(tree)
 
@@ -120,7 +101,7 @@ def cmd_fit(args, extra) -> int:
     from vvlab.ratefit import fit_rate
 
     def parse(fh):
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as empty
         columns = reader.fieldnames or []
         missing = [c for c in ("nu", "t", args.column) if c not in columns]
         if missing:

@@ -241,7 +241,6 @@ def moving_average(y: np.ndarray, window: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Lemma1Report:
     c_fit: float
-    ratios: np.ndarray
     conclusive: bool
 
 
@@ -262,8 +261,7 @@ def check_lemma1(series: QSeries, nu: float) -> Lemma1Report:
     from vvlab.envelope import rhs as envelope_rhs
 
     denom = np.array([envelope_rhs(max(v, 0.0), nu, 1.0) for v in qs])
-    ratios = dq / denom
-    c_fit = float(max(np.max(ratios), 0.0))
+    c_fit = float(max(np.max(dq / denom), 0.0))
     resid = q - qs
     noise = float(np.std(resid))
     scale = float(np.max(qs) - np.min(qs))
@@ -271,7 +269,7 @@ def check_lemma1(series: QSeries, nu: float) -> Lemma1Report:
     inc = np.diff(qs)
     frac_up = float((inc > 0).mean()) if len(inc) else 0.0
     conclusive = scale > 0 and noise < 0.5 * scale and frac_up >= 0.7
-    return Lemma1Report(c_fit=c_fit, ratios=ratios, conclusive=conclusive)
+    return Lemma1Report(c_fit=c_fit, conclusive=conclusive)
 
 
 def lemma1_ladder_stable(c_fits) -> bool:

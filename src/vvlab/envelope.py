@@ -93,7 +93,6 @@ def integrate_envelope(p: OsgoodParams, t_end: float, dt: float) -> EnvelopeCurv
 @dataclass(frozen=True)
 class CrossoverResult:
     t1: float
-    asymptotic: float  # 1 / log(1/nu)
     residual: float
 
 
@@ -119,7 +118,7 @@ def crossover_time(p: OsgoodParams) -> CrossoverResult:
         raise ValueError(f"no crossover in (0, 1] for nu={nu}")
     t1 = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     residual = abs(t1 * (1.0 + math.log1p(1.0 / (nu * t1))) - 1.0)
-    return CrossoverResult(t1=float(t1), asymptotic=1.0 / math.log(1.0 / nu), residual=residual)
+    return CrossoverResult(t1=float(t1), residual=residual)
 
 
 def theorem_rate(t: float, nu: float, c: float, regime: Regime) -> RatePrediction:

@@ -58,6 +58,8 @@ def patch_pair(
         raise FieldError(f"patch radius {radius} must lie in (0, L/4) for L={L}")
     if not (2 * radius < separation < L - 2 * radius):
         raise FieldError(f"patch separation {separation} leaves the discs overlapping")
+    if not edge_cells > 0:  # a negative width would swap the patches' signs
+        raise FieldError(f"patch edge_cells {edge_cells} must be > 0")
     edge_width = edge_cells * grid.spacing
     c_plus = (L / 2 - separation / 2, L / 2)
     c_minus = (L / 2 + separation / 2, L / 2)
@@ -77,6 +79,8 @@ def random_yudovich(
     """Band-limited random field clipped to [-amplitude, amplitude], mean-corrected."""
     if not (0 < amplitude <= 1.0):
         raise FieldError("amplitude must lie in (0, 1]")
+    if k_max < 1 or rng_seed < 0:  # a negative k_max would act as |k_max|
+        raise FieldError(f"k_max must be >= 1 and rng_seed >= 0, got {k_max} and {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     n = grid.n
     coef = np.zeros((n, n), dtype=complex)

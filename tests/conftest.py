@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vvlab import evolve
+from vvlab.config import ExperimentConfig
 from vvlab.fields import Grid2D, ScalarField2D
 
 
@@ -33,6 +34,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def small_config(**kw) -> ExperimentConfig:
+    """A Taylor-Green config on a 32^2 grid, small enough for a test to run; ``kw`` replaces fields."""
+    base = dict(
+        name="tiny",
+        initial_kind="taylor_green",
+        initial_params={},
+        n=32,
+        length=2 * math.pi,
+        nu_ladder=[3e-2, 1.7e-2, 9.5e-3, 5.3e-3],
+        times=[0.05],
+        dt=5e-3,
+        record_every=2,
+        n_particles=300,
+        transport_method="exact",
+        transport_epsilon=1e-3,
+        max_support=120,
+        seed=0,
+        allow_unresolved=True,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
 
 
 @pytest.fixture

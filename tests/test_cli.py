@@ -58,6 +58,19 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "alt" / "cli-tiny-seed3" / "summary.json").read_text())
         assert summary["config"]["seed"] == 3
 
+    def test_numeric_string_param_runs_as_its_number(self, tiny_config, tmp_path):
+        # YAML 1.1 loads 12e-2, a float with no dot, as a string; the generator
+        # gets 0.12 and the report keeps the value as given
+        for value in ("0.12", "12e-2"):
+            out = tmp_path / value
+            code = main(["run", "--config", str(tiny_config), "--output", str(out),
+                         "--initial_data.params.radius", value])
+            assert code == EXIT_OK
+        reports = [tmp_path / value / "cli-tiny-seed0" for value in ("0.12", "12e-2")]
+        assert len({(r / "rate_series.csv").read_text() for r in reports}) == 1
+        summary = json.loads((reports[1] / "summary.json").read_text())
+        assert summary["config"]["initial_data"]["params"]["radius"] == "12e-2"
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
 
@@ -136,6 +149,10 @@ class TestRunVerb:
         ["--initial_data.kind", "foo"],
         ["--initial_data.params.radius", "-1"],
         ["--initial_data.params.bogus", "3"],
+        ["--initial_data.kind", "random_yudovich", "--initial_data.params", "{rng_seed: -1}"],
+        ["--initial_data.kind", "random_yudovich", "--initial_data.params", "{k_max: -3}"],
+        ["--initial_data.params.edge_cells", "-2.5"],
+        ["--initial_data.params.edge_cells", "0"],
     ])
     def test_bad_initial_data_is_config_error(self, override, tmp_path, monkeypatch, capsys):
         def no_integration(*args):
@@ -146,6 +163,20 @@ class TestRunVerb:
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,params,key", [
+        ("patch_pair", "{radius: %s, separation: 0.4}", "initial_data.params.radius"),
+        ("random_yudovich", "{k_max: %s}", "initial_data.params.k_max"),
+    ], ids=["patch_pair.radius", "random_yudovich.k_max"])
+    @pytest.mark.parametrize("value", ["null", '"abc"', "true"])
+    def test_bad_initial_data_param_is_config_error(self, kind, params, key, value, tmp_path,
+                                                     capsys):
+        # refused before the run: the generator would take the value as given
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path),
+                     "--initial_data.kind", kind, "--initial_data.params", params % value])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("existed", [False, True])
     def test_config_error_in_the_run_leaves_no_report_directory(self, existed, tmp_path):
@@ -293,7 +324,8 @@ class TestFitVerb:
         assert "no column ['w9']" in err
         assert "['nu', 't', 'err_l2_velocity']" in err
 
-    @pytest.mark.parametrize("text", [None, "nu,t,err_l2_velocity\n1e-3,0.1,abc\n"])
+    @pytest.mark.parametrize("text", [None, "nu,t,err_l2_velocity\n1e-3,0.1,abc\n",
+                                      "nu,t,err_l2_velocity\n1e-4,0.1\n"])
     def test_unreadable_csv_is_config_error(self, text, tmp_path, capsys):
         csv_path = tmp_path / "rates.csv"
         if text is not None:

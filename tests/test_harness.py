@@ -9,40 +9,11 @@ import pytest
 import yaml
 
 from vvlab import evolve
-from vvlab.harness import (
-    ConfigError,
-    ExperimentConfig,
-    apply_override,
-    emit_report,
-    run_experiment,
-    hm1_sweep,
-    summary_schema,
-    _resolve_eval_times,
-)
+from vvlab.config import ConfigError, ExperimentConfig, apply_override
+from vvlab.harness import emit_report, run_experiment, hm1_sweep, summary_schema
+from tests.conftest import small_config
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def small_config(**kw) -> ExperimentConfig:
-    base = dict(
-        name="tiny",
-        initial_kind="taylor_green",
-        initial_params={},
-        n=32,
-        length=2 * math.pi,
-        nu_ladder=[3e-2, 1.7e-2, 9.5e-3, 5.3e-3],
-        times=[0.05],
-        dt=5e-3,
-        record_every=2,
-        n_particles=300,
-        transport_method="exact",
-        transport_epsilon=1e-3,
-        max_support=120,
-        seed=0,
-        allow_unresolved=True,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
 
 
 def patch_config(**kw) -> ExperimentConfig:
@@ -152,13 +123,13 @@ class TestConfig:
 
     def test_eval_times_snap_to_snapshots(self):
         # {solver step: time}, in the config's order
-        at_step = _resolve_eval_times(small_config(times=[0.05, 0.02]))
+        at_step = small_config(times=[0.05, 0.02]).schedule()
         assert list(at_step) == [10, 4]
         assert at_step == pytest.approx({10: 0.05, 4: 0.02})
         with pytest.raises(ConfigError, match="snapshot"):
-            _resolve_eval_times(small_config(times=[0.013]))
+            small_config(times=[0.013]).schedule()
         with pytest.raises(ConfigError, match="must not repeat"):
-            _resolve_eval_times(small_config(times=[0.05, 0.0500000000001]))
+            small_config(times=[0.05, 0.0500000000001]).schedule()
 
 
 @pytest.fixture(scope="module")

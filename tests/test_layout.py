@@ -134,10 +134,37 @@ def test_every_bench_span_has_a_call_target(monkeypatch):
 def test_only_the_start_reads_the_initial_data_and_the_schedule():
     # run_experiment, hm1_sweep and the resolution check's fine run all begin
     # at harness._start; validate builds the schedule only to refuse a bad time
-    tree = ast.parse((SRC / "harness.py").read_text())
-    assert readers_of(tree, "make_initial_data", "harness") == {"harness._start"}
-    assert readers_of(tree, "_resolve_eval_times", "harness") == {"harness._start",
-                                                                  "harness.validate"}
+    trees = parsed([SRC / "harness.py", SRC / "config.py"])
+    readers = {name: set().union(*(readers_of(tree, name, path.stem)
+                                   for path, tree in trees.items()))
+               for name in ("make_initial_data", "schedule")}
+    assert readers == {"make_initial_data": {"harness._start"},
+                       "schedule": {"harness._start", "config.validate"}}
+
+
+def test_bench_reads_only_names_the_harness_has():
+    # bench/child.py runs the program through the harness module's names
+    import vvlab.harness
+
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "harness"}
+    assert {"ExperimentConfig", "apply_override", "run_experiment", "emit_report"} <= read
+    assert sorted(name for name in read if not hasattr(vvlab.harness, name)) == []
+
+
+def test_config_imports_no_run_module():
+    # the config format is read before, and without, any run
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "config.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vvlab"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.startswith("vvlab")}
+    assert imported == {"vvlab.fields", "vvlab.initial_data"}
+    loaded = probe(CONFIG_PROBE)
+    assert [m for m in ("harness", "evolve", "coupling", "transport", "cli")
+            if f"vvlab.{m}" in loaded] == []
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -177,6 +204,14 @@ with tempfile.TemporaryDirectory() as out:
 loaded["report"] = scipy_modules()
 loaded["jsonschema"] = "jsonschema" in sys.modules
 print(json.dumps(loaded))
+"""
+
+
+# The vvlab modules loaded once the config module is imported.
+CONFIG_PROBE = """
+import json, sys
+import vvlab.config
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "vvlab")))
 """
 
 
