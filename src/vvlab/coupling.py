@@ -1,12 +1,13 @@
 """Monte-Carlo coupling of inviscid and viscous trajectories.
 
-Each particle carries a pair of positions: X follows the inviscid velocity,
-Y follows the viscous velocity plus Brownian forcing of intensity sqrt(2 nu).
-The weighted second moment of the pair separation is the coupling cost Q(t),
-an upper bound (up to MC and binning error) for the squared 2-Wasserstein
-distance between the viscous and inviscid signed vorticity parts.
+An ensemble is one weighted particle set: X follows the inviscid velocity at
+nu = 0, Y the viscous velocity plus Brownian forcing of intensity sqrt(2 nu)
+from the same start. The weighted second moment of the separation of Y from X
+is the coupling cost Q(t), an upper bound (up to MC and binning error) for the
+squared 2-Wasserstein distance between the viscous and inviscid signed
+vorticity parts.
 
-An ensemble owns copies of its positions and the work arrays of its particle
+An ensemble owns a copy of its positions and the work arrays of its particle
 count; ``advance_coupling`` moves it in place, so a step allocates no array
 of the particle count.
 """
@@ -37,8 +38,7 @@ class CouplingError(RuntimeError):
 
 @dataclass
 class CouplingEnsemble:
-    x: np.ndarray        # (n, 2) inviscid positions
-    y: np.ndarray        # (n, 2) viscous positions
+    x: np.ndarray        # (n, 2) positions
     weights: np.ndarray  # (n,)
     signs: np.ndarray    # (n,) +1 / -1
     length: float
@@ -47,9 +47,8 @@ class CouplingEnsemble:
     step_index: int = 0
 
     def __post_init__(self):
-        # copies: a step writes the positions in place, never into the caller's arrays
+        # a copy: a step writes the positions in place, never into the caller's array
         self.x = torus_wrap(np.array(self.x, float).reshape(-1, 2), self.length)
-        self.y = torus_wrap(np.array(self.y, float).reshape(-1, 2), self.length)
         self.weights = np.array(self.weights, float).reshape(-1)
         self.signs = np.array(self.signs, int).reshape(-1)
         # the work arrays of the steps and estimates
@@ -123,7 +122,8 @@ def _sample_part(part: ScalarField2D, n_particles: int, rng) -> tuple[np.ndarray
 
 
 def init_coupling(omega0: ScalarField2D, n_particles: int, rng_seed: int) -> CouplingEnsemble:
-    """Diagonal coupling of the signed parts of omega0: Y = X, so Q(0) = 0 exactly.
+    """Particles sampled from the signed parts of omega0, the common start of
+    X and of every Y, so Q(0) = 0 exactly.
 
     Particle counts per sign are proportional to the sign masses; the weights
     within a sign are equal and sum to that part's L1 mass.
@@ -149,10 +149,8 @@ def init_coupling(omega0: ScalarField2D, n_particles: int, rng_seed: int) -> Cou
         xs.append(pos)
         ws.append(np.full(len(pos), mass / len(pos)))
         ss.append(np.full(len(pos), sign, dtype=int))
-    x = np.vstack(xs)
     return CouplingEnsemble(
-        x=x,
-        y=x,
+        x=np.vstack(xs),
         weights=np.concatenate(ws),
         signs=np.concatenate(ss),
         length=omega0.grid.length,
@@ -160,50 +158,46 @@ def init_coupling(omega0: ScalarField2D, n_particles: int, rng_seed: int) -> Cou
     )
 
 
-def advance_coupling(
-    ens: CouplingEnsemble,
-    u: VectorField2D,
-    u_nu: VectorField2D,
-    nu: float,
-    dt: float,
-) -> CouplingEnsemble:
-    """One Euler-Maruyama step of ``ens``, in place: X follows u, Y follows
-    u_nu + sqrt(2 nu) noise. Returns ``ens``.
+def advance_coupling(ens: CouplingEnsemble, u: VectorField2D, nu: float, dt: float) -> CouplingEnsemble:
+    """One Euler-Maruyama step of ``ens`` in ``u``, in place: x += dt u(x) +
+    sqrt(2 nu dt) noise, with no noise at nu = 0. Returns ``ens``.
 
     The Gaussian draw is keyed on (ensemble seed, step index), so a run is
-    reproducible and independent of any internal parallelization order. The
+    reproducible and independent of any internal parallelization order, and
+    ensembles of one seed at different viscosities take the same normals. The
     step writes into the ensemble's own arrays and allocates none of the
     particle count. After a CouplingError the positions are the failed step's.
     """
-    x, y, delta = ens.x, ens.y, ens._delta
-    for pos, vel in ((x, u), (y, u_nu)):  # pos += dt * interpolate_velocity(vel, pos)
-        # the interpolation is a transposed view, which numpy would scale
-        # through a buffer of its own; copied first, it is scaled in place
-        np.copyto(delta, interpolate_velocity(vel, pos, ens._particles))
-        np.add(pos, np.multiply(dt, delta, out=delta), out=pos)
+    x, delta = ens.x, ens._delta
+    # the interpolation is a transposed view, which numpy would scale through
+    # a buffer of its own; copied first, it is scaled in place
+    np.copyto(delta, interpolate_velocity(u, x, ens._particles))
+    np.add(x, np.multiply(dt, delta, out=delta), out=x)
     if nu > 0:
         rng = np.random.Generator(np.random.Philox(key=[ens.rng_seed, ens.step_index + 1]))
         noise = rng.standard_normal(out=delta)
-        np.add(y, np.multiply(math.sqrt(2.0 * nu * dt), noise, out=noise), out=y)
-    if not (np.isfinite(x, out=ens._finite).all() and np.isfinite(y, out=ens._finite).all()):
-        bad = int(np.argwhere(~np.isfinite(x + y))[0][0])
+        np.add(x, np.multiply(math.sqrt(2.0 * nu * dt), noise, out=noise), out=x)
+    if not np.isfinite(x, out=ens._finite).all():
+        bad = int(np.argwhere(~ens._finite)[0][0])
         raise CouplingError(f"non-finite particle position at index {bad}")
     torus_wrap(x, ens.length)
-    torus_wrap(y, ens.length)
     ens.time += dt
     ens.step_index += 1
     return ens
 
 
-def estimate_q(ens: CouplingEnsemble) -> QEstimate:
-    """Weighted second moment of the pair separation, split by sign.
+def estimate_q(ens: CouplingEnsemble, x: np.ndarray) -> QEstimate:
+    """Weighted second moment of the separation of ``ens`` (Y) from the
+    positions ``x`` (X) of the same particles, split by sign.
 
     The standard error is the jackknife estimate over particles (signs pooled
     in quadrature).
     """
     if len(ens) == 0:
         raise CouplingError("empty ensemble")
-    dist = torus_distance(ens.x, ens.y, ens.length, ens._particles)
+    if np.shape(x) != ens.x.shape:  # torus_distance would broadcast a single point
+        raise CouplingError(f"positions of shape {np.shape(x)} for {len(ens)} particles")
+    dist = torus_distance(x, ens.x, ens.length, ens._particles)
     d2 = np.square(dist, out=dist)
     # the per-sign values and their leave-one-out means, in the rows that
     # torus_distance leaves free

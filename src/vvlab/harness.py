@@ -99,34 +99,39 @@ def hm1_sweep(cfg: ExperimentConfig) -> tuple:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
+    """The rows, fits, Q series, lemma 1 constants, violations and failed legs of
+    ``cfg``: its inviscid reference once, then each viscosity of its ladder against
+    it, coupled through one particle set, X at nu = 0 and Y in each leg."""
     omega0, parts0, scfg_euler, at_step = _start(cfg)
     grid, norms0 = omega0.grid, norms(omega0)
 
-    # the inviscid reference, read once: a copy of each interval's midpoint
-    # velocity, shared by the ladder, the whole snapshot at each evaluation
-    # time's step, by time, and its a-priori violation, which opens the run's list
-    euler_mid = []
+    # the inviscid reference, read once: the whole snapshot at each evaluation
+    # time's step, by time, its a-priori violation, which opens the run's list,
+    # and X at the start and at each interval's end, stepped on its midpoint
+    ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed)
+    x_at = [ens.x.copy()]
 
-    def keep_midpoint(h, mid):
-        euler_mid.append(VectorField2D(grid, *mid.copy()))
+    def step_inviscid(h, mid):
+        x_at.append(advance_coupling(ens, VectorField2D(grid, *mid), 0.0, h).x.copy())
 
-    euler_at, invariant_violations = run_split(*parts0, scfg_euler, at_step, keep_midpoint)
+    euler_at, invariant_violations = run_split(*parts0, scfg_euler, at_step, step_inviscid)
     # their parts' measures, shared by the ladder
     euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
     method, eps = cfg.transport_method, cfg.transport_epsilon
 
-    def evaluate_leg(leg: int, nu: float):
+    def evaluate_leg(nu: float):
         """Read one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
-        snapshots go with its frame, before the next leg is read. Its coupling
-        steps on each interval's midpoint velocities, the viscous one the
-        work array of ``run_split``."""
-        ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed * 1000 + leg)
-        inviscid, entries = iter(euler_mid), [estimate_q(ens)]
+        snapshots go with its frame, before the next leg is read. The particles
+        restart from X's start as Y and step on each interval's viscous
+        midpoint velocity, the work array of ``run_split``."""
+        np.copyto(ens.x, x_at[0])
+        ens.time, ens.step_index = 0.0, 0  # the noise is keyed on (run seed, step)
+        entries = [estimate_q(ens, x_at[0])]
 
         def advance(h, mid):
-            advance_coupling(ens, next(inviscid), VectorField2D(grid, *mid), nu, h)
-            entries.append(estimate_q(ens))
+            advance_coupling(ens, VectorField2D(grid, *mid), nu, h)
+            entries.append(estimate_q(ens, x_at[ens.step_index]))
 
         kept, violations = run_split(*parts0, replace(scfg_euler, nu=nu), at_step, advance)
         series = QSeries(entries=entries)
@@ -164,10 +169,10 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     q_series: dict[float, QSeries] = {}
     lemma1_fits: dict[float, float] = {}
     leg_errors: list = []
-    for leg, nu in enumerate(cfg.nu_ladder):
+    for nu in cfg.nu_ladder:
         # a failed leg contributes nothing: its results are kept only once it ends
         try:
-            leg_rows, violations, series, c_fit = evaluate_leg(leg, nu)
+            leg_rows, violations, series, c_fit = evaluate_leg(nu)
         # a numerical failure stays in its leg; a programming error fails the run
         except (SolverError, TransportError, CouplingError, FieldError) as e:
             leg_errors.append((nu, f"{type(e).__name__}: {e}"))

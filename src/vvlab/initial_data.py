@@ -1,7 +1,7 @@
 """Initial vorticity library: Taylor-Green, mollified patch pairs, random L1/Linf data.
 
 Every constructor returns a mean-zero field (zero total circulation on the
-torus); ``make_initial_data`` checks that.
+torus); ``make_initial_data`` checks that, and refuses a field that is zero.
 """
 
 from __future__ import annotations
@@ -105,10 +105,12 @@ KINDS = tuple(GENERATORS)
 
 
 def make_initial_data(kind: str, grid: Grid2D, **params) -> ScalarField2D:
-    """Dispatch to the named constructor and check that its field is mean-zero."""
+    """Dispatch to the named constructor and check that its field is mean-zero and not zero."""
     if kind not in GENERATORS:
         raise FieldError(f"unknown initial data kind {kind!r}; choose from {KINDS}")
     f = GENERATORS[kind](grid, **params)
     if not f.mean_zero:
         raise FieldError(f"initial data {kind!r} with params {params} is not mean-zero")
+    if not f.values.any():
+        raise FieldError(f"initial data {kind!r} with params {params} has no vorticity mass")
     return f

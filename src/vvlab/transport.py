@@ -489,8 +489,9 @@ def wasserstein_sinkhorn(
     """Debiased entropic transport distance (Sinkhorn divergence form).
 
     The debiasing OT(mu,nu) - (OT(mu,mu) + OT(nu,nu))/2 makes the distance of a
-    measure to itself vanish identically. epsilon is relative to the squared
-    domain diameter scale via the cost maximum handled by the scaling schedule.
+    measure to itself vanish identically. epsilon is an absolute blur in the units
+    of the cost |x - y|^p, the same for p = 1 and p = 2: the scaling schedule
+    starts at max(C.max(), epsilon) and halves down to epsilon.
     """
     _check_order(p)
     if epsilon <= 0:

@@ -178,10 +178,12 @@ def test_criterion_6_coupling_sanity(coupled_experiment):
     z = np.zeros((64, 64))
     u0 = VectorField2D(g, z, z.copy())
     nu, dt, steps = 5e-3, 1e-3, 50
+    x = init_coupling(w0, 10_000, rng_seed=21)
     ens = init_coupling(w0, 10_000, rng_seed=21)
     for _ in range(steps):
-        ens = advance_coupling(ens, u0, u0, nu=nu, dt=dt)
-    est = estimate_q(ens)
+        x = advance_coupling(x, u0, nu=0.0, dt=dt)
+        ens = advance_coupling(ens, u0, nu=nu, dt=dt)
+    est = estimate_q(ens, x.x)
     mass = ens.mass(1) + ens.mass(-1)
     expected = 4.0 * nu * dt * steps * mass
     dev_se = abs(est.q - expected) / est.stderr

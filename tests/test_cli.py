@@ -153,6 +153,9 @@ class TestRunVerb:
         ["--initial_data.kind", "random_yudovich", "--initial_data.params", "{k_max: -3}"],
         ["--initial_data.params.edge_cells", "-2.5"],
         ["--initial_data.params.edge_cells", "0"],
+        # no vorticity mass for the coupling's particles to sample
+        ["--initial_data.kind", "taylor_green", "--initial_data.params", "{amplitude: 0}"],
+        ["--initial_data.params.strength", "0"],
     ])
     def test_bad_initial_data_is_config_error(self, override, tmp_path, monkeypatch, capsys):
         def no_integration(*args):
@@ -163,6 +166,7 @@ class TestRunVerb:
         code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path), *override])
         assert code == EXIT_CONFIG
         assert "initial data" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # no empty report directory is left
 
     @pytest.mark.parametrize("kind,params,key", [
         ("patch_pair", "{radius: %s, separation: 0.4}", "initial_data.params.radius"),

@@ -39,7 +39,7 @@ class TestInit:
     def test_diagonal_start_has_zero_cost(self):
         w0 = patch_data()
         ens = init_coupling(w0, 500, rng_seed=3)
-        est = estimate_q(ens)
+        est = estimate_q(ens, ens.x.copy())
         assert est.q == 0.0
         assert est.stderr == 0.0
 
@@ -80,13 +80,13 @@ class TestInit:
 
     def test_positions_wrapped_onto_the_torus(self):
         pts = np.array([[0.0, 0.25], [0.999, 0.5], [-0.25, 0.5], [1.0, 1.75], [-1e-18, 0.5]])
-        ens = CouplingEnsemble(x=pts[:2], y=pts, weights=np.ones(5), signs=np.ones(5),
-                               length=1.0, rng_seed=0)
-        assert np.array_equal(ens.x, pts[:2])
+        ens = CouplingEnsemble(x=pts, weights=np.ones(5), signs=np.ones(5), length=1.0,
+                               rng_seed=0)
+        assert np.array_equal(ens.x[:2], pts[:2])
         expected = np.mod(pts, 1.0)
         expected[4, 0] = 0.0  # np.mod rounds -1e-18 up to the period itself
-        assert np.array_equal(ens.y, expected)
-        assert ((0.0 <= ens.y) & (ens.y < 1.0)).all()
+        assert np.array_equal(ens.x, expected)
+        assert ((0.0 <= ens.x) & (ens.x < 1.0)).all()
 
     def test_rejects_empty(self):
         g = Grid2D(32, 1.0)
@@ -96,27 +96,34 @@ class TestInit:
             init_coupling(patch_data(), 0, rng_seed=0)
 
 
+def coupled_pair(w0, n_particles, rng_seed):
+    """X and Y: two ensembles of the same particles, for nu = 0 and nu > 0."""
+    return init_coupling(w0, n_particles, rng_seed), init_coupling(w0, n_particles, rng_seed)
+
+
 class TestAdvance:
     def test_identical_velocities_zero_viscosity_stay_coupled(self):
         w0 = patch_data()
-        ens = init_coupling(w0, 400, rng_seed=2)
+        x, y = coupled_pair(w0, 400, rng_seed=2)
         from vvlab.fields import biot_savart
 
         u = biot_savart(w0)
         for _ in range(20):
-            ens = advance_coupling(ens, u, u, nu=0.0, dt=1e-2)
-        assert estimate_q(ens).q == 0.0
+            x = advance_coupling(x, u, nu=0.0, dt=1e-2)
+            y = advance_coupling(y, u, nu=0.0, dt=1e-2)
+        assert estimate_q(y, x.x).q == 0.0
 
     def test_brownian_closed_form(self):
-        # u = u_nu = 0: Q(t) = 4 nu t * mass, exact in law
+        # u = 0: Q(t) = 4 nu t * mass, exact in law
         w0 = patch_data()
         g = w0.grid
         nu, dt, steps = 5e-3, 1e-3, 60
-        ens = init_coupling(w0, 4000, rng_seed=11)
+        x, ens = coupled_pair(w0, 4000, rng_seed=11)
         u0 = zero_velocity(g)
         for _ in range(steps):
-            ens = advance_coupling(ens, u0, u0, nu=nu, dt=dt)
-        est = estimate_q(ens)
+            x = advance_coupling(x, u0, nu=0.0, dt=dt)
+            ens = advance_coupling(ens, u0, nu=nu, dt=dt)
+        est = estimate_q(ens, x.x)
         mass = ens.mass(1) + ens.mass(-1)
         expected = 4.0 * nu * dt * steps * mass
         assert abs(est.q - expected) < 4.0 * est.stderr + 0.02 * expected
@@ -129,41 +136,40 @@ class TestAdvance:
         # solid-body-like periodic shear: u = (sin(2 pi x2), 0) applied to both
         u = VectorField2D(g, np.sin(2 * np.pi * x2), np.zeros((64, 64)))
         w0 = patch_data()
-        ens = init_coupling(w0, 300, rng_seed=4)
+        x, y = coupled_pair(w0, 300, rng_seed=4)
         for _ in range(30):
-            ens = advance_coupling(ens, u, u, nu=0.0, dt=5e-3)
-        assert estimate_q(ens).q == pytest.approx(0.0, abs=1e-28)
+            x = advance_coupling(x, u, nu=0.0, dt=5e-3)
+            y = advance_coupling(y, u, nu=0.0, dt=5e-3)
+        assert estimate_q(y, x.x).q == pytest.approx(0.0, abs=1e-28)
 
     def test_two_particle_hand_computation(self):
         ens = CouplingEnsemble(
-            x=np.array([[0.1, 0.1], [0.6, 0.6]]),
-            y=np.array([[0.1, 0.2], [0.6, 0.9]]),
+            x=np.array([[0.1, 0.2], [0.6, 0.9]]),
             weights=np.array([2.0, 2.0]),
             signs=np.array([1, -1]),
             length=1.0,
             rng_seed=0,
         )
-        est = estimate_q(ens)
+        est = estimate_q(ens, np.array([[0.1, 0.1], [0.6, 0.6]]))
         assert est.q_plus == pytest.approx(2.0 * 0.1 ** 2)
         assert est.q_minus == pytest.approx(2.0 * 0.3 ** 2)
 
     def test_wraparound_separation(self):
         ens = CouplingEnsemble(
-            x=np.array([[0.02, 0.5]]),
-            y=np.array([[0.98, 0.5]]),
+            x=np.array([[0.98, 0.5]]),
             weights=np.array([1.0]),
             signs=np.array([1]),
             length=1.0,
             rng_seed=0,
         )
-        assert estimate_q(ens).q_plus == pytest.approx(0.04 ** 2)
+        assert estimate_q(ens, np.array([[0.02, 0.5]])).q_plus == pytest.approx(0.04 ** 2)
 
     def test_step_reproducible_and_time_advances(self):
         w0 = patch_data()
         u0 = zero_velocity(w0.grid)
-        a = advance_coupling(init_coupling(w0, 200, rng_seed=9), u0, u0, nu=1e-3, dt=1e-2)
-        b = advance_coupling(init_coupling(w0, 200, rng_seed=9), u0, u0, nu=1e-3, dt=1e-2)
-        np.testing.assert_array_equal(a.y, b.y)
+        a = advance_coupling(init_coupling(w0, 200, rng_seed=9), u0, nu=1e-3, dt=1e-2)
+        b = advance_coupling(init_coupling(w0, 200, rng_seed=9), u0, nu=1e-3, dt=1e-2)
+        np.testing.assert_array_equal(a.x, b.x)
         assert a.time == pytest.approx(1e-2)
         assert a.step_index == 1
 
@@ -171,15 +177,13 @@ class TestAdvance:
         # the ensemble copies its positions, and a step moves that copy in place
         w0 = patch_data()
         start = init_coupling(w0, 200, rng_seed=9)
-        x, y = start.x.copy(), start.y.copy()
-        ens = CouplingEnsemble(x=x, y=y, weights=start.weights, signs=start.signs,
+        x = start.x.copy()
+        ens = CouplingEnsemble(x=x, weights=start.weights, signs=start.signs,
                                length=start.length, rng_seed=start.rng_seed)
         u = VectorField2D(w0.grid, np.ones((64, 64)), np.zeros((64, 64)))
-        assert advance_coupling(ens, u, u, nu=1e-3, dt=1e-2) is ens
+        assert advance_coupling(ens, u, nu=1e-3, dt=1e-2) is ens
         np.testing.assert_array_equal(x, start.x)
-        np.testing.assert_array_equal(y, start.y)
         assert not np.array_equal(ens.x, x)
-        assert not np.array_equal(ens.y, y)
         assert (ens.time, ens.step_index) == (1e-2, 1)
 
     def test_stderr_shrinks_with_ensemble_size(self):
@@ -188,20 +192,28 @@ class TestAdvance:
         errs = []
         for n in (1000, 4000):
             ens = init_coupling(w0, n, rng_seed=13)
+            x = ens.x.copy()  # X at u = 0
             for _ in range(10):
-                ens = advance_coupling(ens, u0, u0, nu=1e-2, dt=1e-3)
-            errs.append(estimate_q(ens).stderr)
+                ens = advance_coupling(ens, u0, nu=1e-2, dt=1e-3)
+            errs.append(estimate_q(ens, x).stderr)
         # quadrupling the ensemble should halve the error, within MC slop
         assert errs[1] < 0.75 * errs[0]
 
     def test_empty_estimate_rejected(self):
         ens = CouplingEnsemble(
-            x=np.zeros((0, 2)), y=np.zeros((0, 2)),
+            x=np.zeros((0, 2)),
             weights=np.zeros(0), signs=np.zeros(0, int),
             length=1.0, rng_seed=0,
         )
         with pytest.raises(CouplingError):
-            estimate_q(ens)
+            estimate_q(ens, np.zeros((0, 2)))
+
+    def test_estimate_against_other_positions_rejected(self):
+        # X must hold one position per particle: a single point would broadcast
+        ens = init_coupling(patch_data(), 100, rng_seed=0)
+        for x in (ens.x[:1], ens.x[:-1], ens.x.ravel()):
+            with pytest.raises(CouplingError, match="positions of shape"):
+                estimate_q(ens, x)
 
 
 class TestMovingAverage:
@@ -308,14 +320,15 @@ class TestAllocationFree:
         w0 = patch_data()
         u = biot_savart(w0)
         ens = init_coupling(w0, 20000, rng_seed=2)
-        ens = advance_coupling(ens, u, u, nu=1e-3, dt=1e-3)
-        estimate_q(ens)
-        peak, new = self.traced_peak(lambda: advance_coupling(ens, u, u, nu=1e-3, dt=1e-3))
+        x = ens.x.copy()
+        ens = advance_coupling(ens, u, nu=1e-3, dt=1e-3)
+        estimate_q(ens, x)
+        peak, new = self.traced_peak(lambda: advance_coupling(ens, u, nu=1e-3, dt=1e-3))
         assert new is ens
         # a bound far below one array of the particle count (160,000 bytes)
         small = 8192
         assert peak <= small, f"{peak} bytes"
-        peak, est = self.traced_peak(lambda: estimate_q(new))
+        peak, est = self.traced_peak(lambda: estimate_q(new, x))
         assert est.q > 0
         assert peak <= small, f"{peak} bytes"
 
@@ -327,9 +340,9 @@ class TestAllocationFree:
         w0 = patch_data()
         u = biot_savart(w0)
         ens = init_coupling(w0, 20000, rng_seed=2)
-        ens.x[:] = ens.y[:] = np.random.default_rng(5).uniform(0.99, 1.0, ens.x.shape)
-        advance_coupling(ens, u, u, nu=1e-3, dt=1e-3)
-        before = ens.y.copy()
-        peak, _ = self.traced_peak(lambda: advance_coupling(ens, u, u, nu=1e-3, dt=1e-3))
-        assert (np.abs(ens.y - before) > 0.5).any()  # some particle wrapped
+        ens.x[:] = np.random.default_rng(5).uniform(0.99, 1.0, ens.x.shape)
+        advance_coupling(ens, u, nu=1e-3, dt=1e-3)
+        before = ens.x.copy()
+        peak, _ = self.traced_peak(lambda: advance_coupling(ens, u, nu=1e-3, dt=1e-3))
+        assert (np.abs(ens.x - before) > 0.5).any()  # some particle wrapped
         assert peak <= 8192, f"{peak} bytes"

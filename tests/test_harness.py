@@ -213,19 +213,17 @@ class TestRunExperiment:
     def test_failed_leg_recorded_not_fatal(self, monkeypatch):
         # one leg blowing up must be reported without killing the sweep
         import vvlab.harness as harness_mod
-        from vvlab.coupling import CouplingError, init_coupling as real_init
+        from vvlab.coupling import CouplingError, advance_coupling as real_advance
 
         cfg = small_config()
         doomed = cfg.nu_ladder[1]
-        calls = {"leg": -1}
 
-        def flaky_init(omega0, n_particles, rng_seed):
-            calls["leg"] += 1
-            if cfg.nu_ladder[calls["leg"]] == doomed:
+        def flaky_advance(ens, u, nu, dt):
+            if nu == doomed:
                 raise CouplingError("synthetic failure")
-            return real_init(omega0, n_particles, rng_seed)
+            return real_advance(ens, u, nu, dt)
 
-        monkeypatch.setattr(harness_mod, "init_coupling", flaky_init)
+        monkeypatch.setattr(harness_mod, "advance_coupling", flaky_advance)
         series = run_experiment(cfg)
         assert [nu for nu, _ in series.errors] == [doomed]
         assert "synthetic failure" in series.errors[0][1]
@@ -279,19 +277,17 @@ class TestRunExperiment:
     def test_programming_error_in_leg_is_fatal(self, monkeypatch):
         # a bug is not a numerical failure: it must fail the run, not become a leg error
         import vvlab.harness as harness_mod
-        from vvlab.coupling import init_coupling as real_init
+        from vvlab.coupling import advance_coupling as real_advance
 
         cfg = small_config()
         doomed = cfg.nu_ladder[1]
-        calls = {"leg": -1}
 
-        def buggy_init(omega0, n_particles, rng_seed):
-            calls["leg"] += 1
-            if cfg.nu_ladder[calls["leg"]] == doomed:
+        def buggy_advance(ens, u, nu, dt):
+            if nu == doomed:
                 raise TypeError("synthetic bug")
-            return real_init(omega0, n_particles, rng_seed)
+            return real_advance(ens, u, nu, dt)
 
-        monkeypatch.setattr(harness_mod, "init_coupling", buggy_init)
+        monkeypatch.setattr(harness_mod, "advance_coupling", buggy_advance)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_experiment(cfg)
 
@@ -414,32 +410,60 @@ class TestRunExperiment:
         assert len(euler) == 11  # steps 0 to 10
         assert alive == [len(cfg.times)]
 
-    def test_legs_step_on_one_set_of_euler_midpoints(self, monkeypatch):
-        # the S - 1 Euler midpoint velocities of S snapshots are averaged once,
-        # and every leg's coupling steps on those same fields
+    @staticmethod
+    def recorded_steps(monkeypatch, cfg, zero_velocity=False):
+        """Run ``cfg`` and return, per coupling step in call order, its nu and
+        the ensemble's positions before and after it; with ``zero_velocity``
+        every step is taken in u = 0."""
         import vvlab.harness as harness_mod
 
-        real, seen, viscous = harness_mod.advance_coupling, {}, []
+        real, steps = harness_mod.advance_coupling, []
 
-        def recording(ens, u, u_nu, nu, dt):
-            seen.setdefault(nu, []).append(u)
-            viscous.append(u_nu.u1)
-            return real(ens, u, u_nu, nu, dt)
+        def recording(ens, u, nu, dt):
+            if zero_velocity:
+                u = dataclasses.replace(u, u1=np.zeros_like(u.u1), u2=np.zeros_like(u.u2))
+            before = ens.x.copy()
+            real(ens, u, nu, dt)
+            steps.append((nu, before, ens.x.copy()))
+            return ens
 
         monkeypatch.setattr(harness_mod, "advance_coupling", recording)
-        cfg = patch_config()
         assert run_experiment(cfg).errors == []
-        assert list(seen) == cfg.nu_ladder
-        first = seen[cfg.nu_ladder[0]]
-        assert len({id(u) for u in first}) == len(first) == 10  # snapshots at steps 0 to 10
-        for mids in seen.values():
-            assert len(mids) == len(first)
-            assert all(a is b for a, b in zip(mids, first))
-        # each Euler midpoint is its own array, not the stream's work array,
-        # which the viscous midpoints are written into
-        for i, u in enumerate(first):
-            assert not any(np.shares_memory(u.u1, v.u1) for v in first[i + 1:])
-            assert not any(np.shares_memory(u.u1, w) for w in viscous)
+        return steps
+
+    def test_one_inviscid_pass_then_each_leg(self, monkeypatch):
+        # X is stepped once, at nu = 0 on the Euler reference's S - 1 intervals of
+        # S snapshots, then each leg steps its own Y on its intervals
+        cfg = patch_config()
+        steps = self.recorded_steps(monkeypatch, cfg)
+        intervals = 10  # snapshots at steps 0 to 10
+        assert len(steps) == intervals * (1 + len(cfg.nu_ladder))
+        assert [nu for nu, _, _ in steps] == [
+            nu for nu in [0.0, *cfg.nu_ladder] for _ in range(intervals)]
+
+    def test_every_leg_starts_from_the_inviscid_start(self, monkeypatch):
+        cfg = patch_config()
+        steps = self.recorded_steps(monkeypatch, cfg)
+        starts = steps[::10]  # the first step of the Euler pass and of each leg
+        assert [nu for nu, _, _ in starts] == [0.0, *cfg.nu_ladder]
+        for _, before, _ in starts[1:]:
+            np.testing.assert_array_equal(before, starts[0][1])
+
+    def test_legs_share_one_noise_stream(self, monkeypatch):
+        # at u = 0 a step of leg nu moves each particle by sqrt(2 nu dt) times
+        # the same normals, so two legs' displacements differ by sqrt(nu1 / nu2)
+        from vvlab.fields import torus_delta
+
+        cfg = patch_config()
+        steps = self.recorded_steps(monkeypatch, cfg, zero_velocity=True)
+        moves = {}
+        for nu, before, after in steps:
+            moves.setdefault(nu, []).append(torus_delta(after, before, cfg.length))
+        assert not np.any(moves.pop(0.0))  # X does not move at u = 0
+        nu1 = cfg.nu_ladder[0]
+        for nu2 in cfg.nu_ladder[1:]:
+            for d1, d2 in zip(moves[nu1], moves[nu2], strict=True):
+                np.testing.assert_allclose(d1, d2 * math.sqrt(nu1 / nu2), rtol=1e-12, atol=1e-15)
 
     def test_velocity_cross_check_is_live(self, monkeypatch):
         # a perturbed snapshot velocity no longer matches the H^-1 error of the parts

@@ -142,6 +142,15 @@ def test_only_the_start_reads_the_initial_data_and_the_schedule():
                        "schedule": {"harness._start", "config.validate"}}
 
 
+def test_one_particle_set_per_run():
+    # run_experiment samples the particles once, before its Euler reference; a
+    # leg (evaluate_leg) restarts them and never samples its own
+    trees = parsed(sorted(SRC.rglob("*.py")))
+    readers = set().union(*(readers_of(tree, "init_coupling", path.stem)
+                            for path, tree in trees.items()))
+    assert readers == {"harness.run_experiment"}
+
+
 def test_bench_reads_only_names_the_harness_has():
     # bench/child.py runs the program through the harness module's names
     import vvlab.harness
