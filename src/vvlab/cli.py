@@ -97,6 +97,22 @@ def cmd_run(args, extra) -> int:
     return EXIT_VIOLATION if summary["invariant_violations"] else EXIT_OK
 
 
+def _report_seed(csv_path: str) -> int:
+    """The bootstrap seed for a rate CSV: the ``config.seed`` of the
+    ``summary.json`` beside it, so that a refit draws what the report drew, or 0
+    when there is none; a summary without a usable seed is a configuration error."""
+    path = Path(csv_path).with_name("summary.json")
+    if not path.exists():
+        return 0
+    try:
+        seed = _read(str(path), json.load)["config"]["seed"]
+    except (KeyError, TypeError):
+        seed = None
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"{path} has no nonnegative integer config.seed")
+    return seed
+
+
 def cmd_fit(args, extra) -> int:
     from vvlab.ratefit import fit_rate
 
@@ -111,6 +127,7 @@ def cmd_fit(args, extra) -> int:
     rows = _read(args.csv, parse)
     if not rows:
         raise ConfigError(f"{args.csv} has no data rows")
+    seed = _report_seed(args.csv)
     times = sorted({t for _, t, _ in rows})
     if args.time is not None:
         times = [t for t in times if abs(t - args.time) < 1e-12]
@@ -120,7 +137,8 @@ def cmd_fit(args, extra) -> int:
     for t in times:
         sub = [(nu, e) for nu, tt, e in rows if tt == t]
         try:
-            fit = fit_rate([s[0] for s in sub], [s[1] for s in sub], transformed=args.transformed)
+            fit = fit_rate([s[0] for s in sub], [s[1] for s in sub], transformed=args.transformed,
+                           rng_seed=seed)
         except ValueError as e:
             raise ConfigError(f"t={t:g}: {e}") from e
         result[repr(t)] = {
@@ -188,7 +206,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--output", help="override the config output directory")
 
     p_fit = sub.add_parser("fit", help="fit exponents from a rate CSV")
-    p_fit.add_argument("csv")
+    p_fit.add_argument("csv", help="a rate CSV; the bootstrap seed is the config.seed of "
+                       "the summary.json beside it, or 0 without one")
     p_fit.add_argument("--column", default="err_l2_velocity")
     p_fit.add_argument("--time", type=float)
     p_fit.add_argument("--transformed", action="store_true",

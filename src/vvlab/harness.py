@@ -5,13 +5,16 @@ the ladder runs the viscous twin, the particle coupling, and at each
 evaluation time computes the velocity L2 error (as the H^-1 norm of the
 vorticity difference), the split-route W1 and W2 distances, and the coupling
 cost. Everything is seeded from the config; reports are byte-stable across
-reruns.
+reruns, and on any number of CPUs: the legs run in interleaved shares of the
+ladder, one per usable CPU, and their results are merged in ladder order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,13 +92,84 @@ def hm1_sweep(cfg: ExperimentConfig) -> tuple:
     """
     omega0, parts0, scfg, at_step = _start(cfg)
     euler, violations = run_split(*parts0, scfg, at_step)
-    errs = {t: [] for t in at_step.values()}
-    for nu in cfg.nu_ladder:
+
+    def leg(nu):
+        """One viscous leg's errors, in time order, and its a-priori violations."""
         kept, leg_violations = run_split(*parts0, replace(scfg, nu=nu), at_step)
+        return [_hm1_error(omega0.grid, kept[t], euler[t]) for t in at_step.values()], leg_violations
+
+    errs = {t: [] for t in at_step.values()}
+    for leg_errs, leg_violations in _map_legs(leg, cfg.nu_ladder):
         violations += leg_violations
-        for t, col in errs.items():
-            col.append(_hm1_error(omega0.grid, kept[t], euler[t]))
+        for col, err in zip(errs.values(), leg_errs):
+            col.append(err)
     return errs, violations
+
+
+def _map_legs(leg, ladder) -> list:
+    """``[leg(nu) for nu in ladder]``, computed in w = min(usable CPUs, legs)
+    interleaved shares ``ladder[k::w]``. Share 0 runs in this process, after a
+    child is forked for each other share; a child sends its share's results back
+    pickled through a pipe. With one CPU nothing is forked.
+
+    An exception in a child re-raises here as its own type, from a RuntimeError
+    that carries the child's traceback; a child that ends without sending its
+    results is a RuntimeError naming its share's viscosities. No child outlives
+    the call: on a failure the remaining ones are killed and reaped.
+    """
+    w = min(len(os.sched_getaffinity(0)), len(ladder))
+    shares = [ladder[k::w] for k in range(w)]
+    reads, running = [], {}  # the pipes' read ends; pid -> share index of each unreaped child
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                raise
+            if pid == 0:  # the child sends its results or its exception, and never returns
+                status = 1
+                try:
+                    try:
+                        data = pickle.dumps((True, [leg(nu) for nu in shares[k]]))
+                    except BaseException as e:  # re-raised in the parent
+                        import traceback
+
+                        data = pickle.dumps((False, e, traceback.format_exc()))
+                    with os.fdopen(write, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            running[pid] = k
+        results = [None] * len(ladder)
+        results[0::w] = [leg(nu) for nu in shares[0]]
+        for read, pid in zip(reads, list(running)):
+            with open(read, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            k = running.pop(pid)
+            if code != 0:
+                raise RuntimeError(f"the worker for nu = {shares[k]} ended with exit code "
+                                   f"{code} before sending its results")
+            ok, *payload = pickle.loads(data)
+            if not ok:
+                e, tb = payload
+                raise e from RuntimeError(f"in the worker for nu = {shares[k]}:\n{tb}")
+            results[k::w] = payload[0]
+        return results
+    finally:
+        for read in reads:
+            os.close(read)
+        if running:
+            import signal
+
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
@@ -165,18 +239,24 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
             _check_chain(leg_rows[-1], norms0, violations, series)
         return leg_rows, violations, series, c_fit
 
+    def leg_or_error(nu: float):
+        """The results of leg ``nu``, or its numerical failure as a message; a
+        programming error fails the run."""
+        try:
+            return evaluate_leg(nu)
+        except (SolverError, TransportError, CouplingError, FieldError) as e:
+            return f"{type(e).__name__}: {e}"
+
     rows: list[RateRow] = []
     q_series: dict[float, QSeries] = {}
     lemma1_fits: dict[float, float] = {}
     leg_errors: list = []
-    for nu in cfg.nu_ladder:
+    for nu, result in zip(cfg.nu_ladder, _map_legs(leg_or_error, cfg.nu_ladder)):
         # a failed leg contributes nothing: its results are kept only once it ends
-        try:
-            leg_rows, violations, series, c_fit = evaluate_leg(nu)
-        # a numerical failure stays in its leg; a programming error fails the run
-        except (SolverError, TransportError, CouplingError, FieldError) as e:
-            leg_errors.append((nu, f"{type(e).__name__}: {e}"))
+        if isinstance(result, str):
+            leg_errors.append((nu, result))
             continue
+        leg_rows, violations, series, c_fit = result
         rows += leg_rows
         invariant_violations += violations
         q_series[nu] = series

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ def small_config(**kw) -> ExperimentConfig:
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def usable_cpus(monkeypatch, cpus) -> None:
+    """Make the harness see the CPU set ``cpus`` as usable: it runs a ladder in
+    min(len(cpus), legs) shares, share 0 in this process and each other share
+    in a forked child."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """Every leg runs in this process, so a spy on the calls of a run sees them all."""
+    usable_cpus(monkeypatch, {0})
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """``ladder[1::2]`` runs in a forked child, whatever the host's CPU count."""
+    usable_cpus(monkeypatch, {0, 1})
 
 
 @pytest.fixture

@@ -314,6 +314,38 @@ class TestFitVerb:
         fits = json.loads(json_path.read_text())
         assert fits["0.1"]["exponent"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_fit_bootstraps_with_the_reports_seed(self, tmp_path, capsys):
+        # smoke at seed 3 on a 7-nu ladder: the CI of a refit is the summary's;
+        # drawn with seed 0 it read [0.9221, 0.9564]
+        ladder = "[3.0e-2, 2.2e-2, 1.7e-2, 1.3e-2, 9.5e-3, 7.1e-3, 5.3e-3]"
+        assert main(["run", "--config", str(SMOKE), "--output", str(tmp_path), "--seed", "3",
+                     "--nu_ladder", ladder]) == EXIT_OK
+        report = tmp_path / "smoke-seed3"
+        json_path = tmp_path / "fits.json"
+        assert main(["fit", str(report / "rate_series.csv"), "--json", str(json_path)]) == EXIT_OK
+        fit = json.loads(json_path.read_text())["0.05"]
+        summary = json.loads((report / "summary.json").read_text())["fits"]["0.05"]
+        assert (fit["exponent"], fit["ci"]) == (summary["exponent"], summary["ci"])
+        assert fit["ci"] == pytest.approx([0.9236, 0.9572], abs=5e-5)
+        # without the summary the bootstrap draws with seed 0
+        (report / "summary.json").unlink()
+        assert main(["fit", str(report / "rate_series.csv"), "--json", str(json_path)]) == EXIT_OK
+        assert json.loads(json_path.read_text())["0.05"]["ci"] == pytest.approx(
+            [0.9221, 0.9564], abs=5e-5)
+
+    @pytest.mark.parametrize("text", [
+        "{", "[]", '{"config": []}', '{"config": {}}', '{"config": {"seed": -1}}',
+        '{"config": {"seed": 1.5}}', '{"config": {"seed": true}}', '{"config": {"seed": "3"}}',
+    ])
+    def test_malformed_summary_beside_the_csv_is_config_error(self, text, tmp_path, capsys):
+        nus = np.geomspace(1e-5, 1e-2, 8)
+        csv_path = tmp_path / "rates.csv"
+        write_csv(csv_path, ["nu", "t", "err_l2_velocity"], [(nu, 0.1, nu ** 0.5) for nu in nus])
+        (tmp_path / "summary.json").write_text(text)
+        assert main(["fit", str(csv_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(tmp_path / "summary.json") in err
+
     def test_fit_unknown_time_rejected(self, tmp_path):
         rows = [(1e-3, 0.1, 0.5), (1e-4, 0.1, 0.2), (1e-5, 0.1, 0.1), (1e-6, 0.1, 0.03)]
         csv_path = tmp_path / "rates.csv"

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,8 @@ import yaml
 
 from vvlab import evolve
 from vvlab.config import ConfigError, ExperimentConfig, apply_override
-from vvlab.harness import emit_report, run_experiment, hm1_sweep, summary_schema
-from tests.conftest import small_config
+from vvlab.harness import _map_legs, emit_report, run_experiment, hm1_sweep, summary_schema
+from tests.conftest import small_config, usable_cpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -210,7 +212,7 @@ class TestRunExperiment:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, summary_schema())
 
-    def test_failed_leg_recorded_not_fatal(self, monkeypatch):
+    def test_failed_leg_recorded_not_fatal(self, two_cpus, monkeypatch):
         # one leg blowing up must be reported without killing the sweep
         import vvlab.harness as harness_mod
         from vvlab.coupling import CouplingError, advance_coupling as real_advance
@@ -229,7 +231,7 @@ class TestRunExperiment:
         assert "synthetic failure" in series.errors[0][1]
         assert {r.nu for r in series.rows} == set(cfg.nu_ladder) - {doomed}
 
-    def test_leg_failing_at_its_second_time_leaves_nothing(self, monkeypatch):
+    def test_leg_failing_at_its_second_time_leaves_nothing(self, one_cpu, monkeypatch):
         # a transport failure after the leg's first evaluation time drops that
         # time's row, the Q series and the lemma 1 fit with it
         import vvlab.harness as harness_mod
@@ -254,7 +256,7 @@ class TestRunExperiment:
         assert doomed not in series.q_series and doomed not in series.lemma1
         assert len(series.lemma1) == len(cfg.nu_ladder) - 1
 
-    def test_one_distance_call_per_part_and_twin(self, monkeypatch):
+    def test_one_distance_call_per_part_and_twin(self, one_cpu, monkeypatch):
         import vvlab.harness as harness_mod
 
         cfg = small_config(times=[0.02, 0.05])
@@ -274,7 +276,7 @@ class TestRunExperiment:
         twins = collections.Counter(id(nu) for _, nu in calls)
         assert sorted(twins.values()) == [len(cfg.nu_ladder)] * 4
 
-    def test_programming_error_in_leg_is_fatal(self, monkeypatch):
+    def test_programming_error_in_leg_is_fatal(self, two_cpus, monkeypatch):
         # a bug is not a numerical failure: it must fail the run, not become a leg error
         import vvlab.harness as harness_mod
         from vvlab.coupling import advance_coupling as real_advance
@@ -288,10 +290,16 @@ class TestRunExperiment:
             return real_advance(ens, u, nu, dt)
 
         monkeypatch.setattr(harness_mod, "advance_coupling", buggy_advance)
-        with pytest.raises(TypeError, match="synthetic bug"):
+        with pytest.raises(TypeError, match="synthetic bug") as raised:
             run_experiment(cfg)
+        # raised in the child that ran ladder[1::2], with the child's traceback as its cause
+        cause = raised.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert str(cause).startswith(f"in the worker for nu = {cfg.nu_ladder[1::2]}:")
+        assert "in buggy_advance" in str(cause)
+        assert_no_child_left()
 
-    def test_mass_rescale_small_on_smoke_geometry(self, monkeypatch):
+    def test_mass_rescale_small_on_smoke_geometry(self, one_cpu, monkeypatch):
         # clipping undershoots makes the viscous and inviscid masses drift
         # apart; on the smoke patch pair the rescale that closes the gap is
         # about 1e-4 of the mass
@@ -319,7 +327,7 @@ class TestRunExperiment:
         assert scaled.total_mass == pytest.approx(2.0, rel=1e-15)
         assert mu.weights.tolist() == [1.0, 3.0]  # the memo on mu stays valid
 
-    def test_sinkhorn_solves_per_run(self, monkeypatch):
+    def test_sinkhorn_solves_per_run(self, one_cpu, monkeypatch):
         # 4 cross terms and 4 viscous self-terms per (nu, t), plus the 4 Euler
         # self-terms per t, each solved once and reused across the ladder
         import vvlab.transport as transport
@@ -344,7 +352,7 @@ class TestRunExperiment:
         # no self-term is solved twice for the same measure and order
         assert len({(id(m), c) for m, c in selfs}) == len(selfs)
 
-    def test_run_makes_no_biot_savart_call(self, monkeypatch):
+    def test_run_makes_no_biot_savart_call(self, one_cpu, monkeypatch):
         # the velocities and the cross-check come from the stepper's snapshots,
         # and every trajectory, the Euler reference too, is streamed once
         import vvlab.harness as harness_mod
@@ -365,7 +373,7 @@ class TestRunExperiment:
         assert not hasattr(harness_mod, "biot_savart")
         assert runs == [0.0, *cfg.nu_ladder]
 
-    def test_every_run_is_read_by_evolve_run_split(self, monkeypatch):
+    def test_every_run_is_read_by_evolve_run_split(self, one_cpu, monkeypatch):
         # the one reader of the stepper, which checks every run's a-priori
         # bounds: the Euler reference, each leg in ladder order, then the
         # resolution check's fine run; hm1_sweep reads the Euler run and the legs
@@ -431,7 +439,7 @@ class TestRunExperiment:
         assert run_experiment(cfg).errors == []
         return steps
 
-    def test_one_inviscid_pass_then_each_leg(self, monkeypatch):
+    def test_one_inviscid_pass_then_each_leg(self, one_cpu, monkeypatch):
         # X is stepped once, at nu = 0 on the Euler reference's S - 1 intervals of
         # S snapshots, then each leg steps its own Y on its intervals
         cfg = patch_config()
@@ -441,7 +449,7 @@ class TestRunExperiment:
         assert [nu for nu, _, _ in steps] == [
             nu for nu in [0.0, *cfg.nu_ladder] for _ in range(intervals)]
 
-    def test_every_leg_starts_from_the_inviscid_start(self, monkeypatch):
+    def test_every_leg_starts_from_the_inviscid_start(self, one_cpu, monkeypatch):
         cfg = patch_config()
         steps = self.recorded_steps(monkeypatch, cfg)
         starts = steps[::10]  # the first step of the Euler pass and of each leg
@@ -449,7 +457,7 @@ class TestRunExperiment:
         for _, before, _ in starts[1:]:
             np.testing.assert_array_equal(before, starts[0][1])
 
-    def test_legs_share_one_noise_stream(self, monkeypatch):
+    def test_legs_share_one_noise_stream(self, one_cpu, monkeypatch):
         # at u = 0 a step of leg nu moves each particle by sqrt(2 nu dt) times
         # the same normals, so two legs' displacements differ by sqrt(nu1 / nu2)
         from vvlab.fields import torus_delta
@@ -545,6 +553,94 @@ class TestRunExperiment:
         assert series.flags["resolution_check"] == "untrusted (disc_err=3.816e-03)"
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLegShares:
+    """The ladder runs in interleaved shares, one per usable CPU, share 0 in this
+    process and each other share in a forked child (``harness._map_legs``)."""
+
+    @pytest.mark.parametrize("cpus, shares", [({0}, 1), ({0, 1}, 2), ({0, 1, 2}, 3),
+                                              (set(range(9)), 5)])
+    def test_results_come_back_in_ladder_order(self, monkeypatch, cpus, shares):
+        usable_cpus(monkeypatch, cpus)
+        ladder = [3e-2, 1.7e-2, 9.5e-3, 5.3e-3, 2.9e-3]
+        results = _map_legs(lambda nu: (nu, os.getpid()), ladder)
+        assert [nu for nu, _ in results] == ladder
+        # share k is ladder[k::shares], run by one process; share 0 by this one
+        pids = [pid for _, pid in results]
+        assert [set(pids[k::shares]) for k in range(shares)] == [{pid} for pid in pids[:shares]]
+        assert len(set(pids)) == shares and pids[0] == os.getpid()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+    def test_reports_are_byte_identical_on_any_cpu_count(self, monkeypatch, tmp_path, cpus):
+        cfg = patch_config(times=[0.025, 0.05])
+        for name, use in (("one", {0}), ("more", cpus)):
+            usable_cpus(monkeypatch, use)
+            emit_report(run_experiment(cfg), cfg, tmp_path / name)
+        files = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert files == sorted(path.name for path in (tmp_path / "more").iterdir())
+        assert len(files) == 3 + len(cfg.nu_ladder)
+        for name in files:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "more" / name).read_bytes()
+
+    def test_hm1_sweep_is_the_same_on_two_cpus(self, monkeypatch):
+        cfg = patch_config(times=[0.025, 0.05])
+        usable_cpus(monkeypatch, {0})
+        one = hm1_sweep(cfg)
+        usable_cpus(monkeypatch, {0, 1})
+        assert hm1_sweep(cfg) == one
+
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_child_ending_without_results_names_its_share(self, two_cpus, monkeypatch, how):
+        # the child that runs ladder[1::2] ends in its doomed leg and sends nothing
+        import signal
+
+        import vvlab.harness as harness_mod
+        from vvlab.coupling import advance_coupling as real_advance
+
+        cfg = small_config()
+        doomed, parent = cfg.nu_ladder[1], os.getpid()
+
+        def dying_advance(ens, u, nu, dt):
+            if nu == doomed and os.getpid() != parent:
+                if how == "exit":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_advance(ens, u, nu, dt)
+
+        monkeypatch.setattr(harness_mod, "advance_coupling", dying_advance)
+        code = 1 if how == "exit" else -signal.SIGKILL
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"the worker for nu = {cfg.nu_ladder[1::2]} ended with exit code {code} "
+                "before sending its results")):
+            run_experiment(cfg)
+        assert_no_child_left()
+
+    def test_error_in_this_process_share_leaves_no_child(self, monkeypatch):
+        # ladder[0] fails here while the three children still run their legs
+        import vvlab.harness as harness_mod
+        from vvlab.coupling import advance_coupling as real_advance
+
+        usable_cpus(monkeypatch, {0, 1, 2, 3})
+        cfg = small_config()
+        doomed = cfg.nu_ladder[0]
+
+        def buggy_advance(ens, u, nu, dt):
+            if nu == doomed:
+                raise KeyError("synthetic bug")
+            return real_advance(ens, u, nu, dt)
+
+        monkeypatch.setattr(harness_mod, "advance_coupling", buggy_advance)
+        with pytest.raises(KeyError, match="synthetic bug") as raised:
+            run_experiment(cfg)
+        assert raised.value.__cause__ is None
+        assert_no_child_left()
+
+
 class TestHm1Sweep:
     def test_matches_run_experiment_errors(self, patch_series):
         errs, violations = hm1_sweep(patch_config())
@@ -555,7 +651,7 @@ class TestHm1Sweep:
         lambda: ExperimentConfig.from_nested(yaml.safe_load((ROOT / "configs/smoke.yaml").read_text())),
         lambda: patch_config(times=[0.02, 0.05]),
     ], ids=["smoke", "patch-two-times"])
-    def test_is_the_error_column_of_the_run(self, monkeypatch, make):
+    def test_is_the_error_column_of_the_run(self, one_cpu, monkeypatch, make):
         # the same runs, each read on the same snapshot steps, give the run's
         # err_l2_velocity column bit for bit
         kernels = []

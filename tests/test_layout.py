@@ -106,6 +106,40 @@ def test_only_run_split_reads_the_stepper():
     assert readers == {"evolve.run_split"}
 
 
+def test_legs_run_only_through_map_legs():
+    # one helper forks the ladder's shares and ends its children
+    trees = parsed(sorted(SRC.rglob("*.py")))
+    for name in ("fork", "_exit"):
+        assert set().union(*(readers_of(tree, name, path.stem) for path, tree in trees.items())
+                           ) == {"harness._map_legs"}
+    # each sweep calls run_split itself once, outside any loop, for its Euler
+    # reference. A leg is a nested function that reads run_split, evaluate_leg or
+    # another leg; the sweep's own body reads a leg only as the one function it
+    # hands to _map_legs
+    harness = trees[SRC / "harness.py"]
+    sweeps = [node for node in harness.body if getattr(node, "name", None) in
+              ("run_experiment", "hm1_sweep")]
+    assert len(sweeps) == 2
+    for sweep in sweeps:
+        nested = [node for node in ast.walk(sweep)
+                  if isinstance(node, ast.FunctionDef) and node is not sweep]
+        legs = {"run_split", "evaluate_leg"}
+        while grown := {node.name for node in nested if node.name not in legs and any(
+                readers_of(node, leg, "") for leg in legs)}:
+            legs |= grown
+        own = frozenset(id(n) for node in nested for n in ast.walk(node))
+        body = [node for node in ast.walk(sweep) if id(node) not in own]
+        calls = [node for node in body if isinstance(node, ast.Call)]
+        handed = [call.args[0] for call in calls if getattr(call.func, "id", None) == "_map_legs"]
+        read = [node for node in body if isinstance(node, ast.Name) and node.id in legs]
+        assert [node.id for node in read if node.id == "run_split"] == ["run_split"], sweep.name
+        loops = [node for node in body if isinstance(node, (
+            ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+        assert not any(readers_of(loop, "run_split", "") for loop in loops), sweep.name
+        assert [node for node in read if node.id != "run_split"] == handed, sweep.name
+        assert len(handed) == 1 and handed[0].id in legs - {"run_split"}, sweep.name
+
+
 def bench_spans(monkeypatch):
     """``bench/spans.py``, loaded from its file, which the tests do not change."""
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
