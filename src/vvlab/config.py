@@ -15,6 +15,7 @@ from copy import copy
 from dataclasses import MISSING, dataclass, field as dc_field, fields
 
 from vvlab.fields import Grid2D
+from vvlab.highs import highs_core
 from vvlab.initial_data import GENERATORS, KINDS
 
 
@@ -119,7 +120,7 @@ class ExperimentConfig:
         if self.transport_method not in ("exact", "sinkhorn"):
             raise ConfigError(f"unknown transport method {self.transport_method!r}")
         if self.transport_method == "exact":
-            import scipy.optimize  # noqa: F401  (HiGHS loads with the config, not inside the run)
+            highs_core()  # HiGHS loads with the config, not inside the run
         if not self.transport_epsilon > 0:
             raise ConfigError(f"transport epsilon must be > 0, got {self.transport_epsilon}")
         if self.max_support < 1:

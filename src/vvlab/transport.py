@@ -8,8 +8,9 @@ routes behind it are cross-checked against each other:
   by column generation: the LP runs on a sparse set of active pairs and the
   duals price the full cost matrix until no pair can lower the cost (the
   shortlist idea of Gottschlich & Schuhmacher, 2014). Each call holds one
-  model on SciPy's vendored HiGHS binding (imported on first use; an exact
-  run's config loads it): entering pairs join it as columns and every round
+  model on SciPy's vendored HiGHS binding (:func:`vvlab.highs.highs_core`,
+  loaded at the first LP unless an exact run's config has loaded it; the W1
+  dual solves on it too): entering pairs join it as columns and every round
   after the first re-solves from the last optimal basis. A call for several
   orders solves them in turn on that model: W1 after W2 re-prices W2's
   columns and goes on from its optimal basis,
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from vvlab.fields import ScalarField2D, hm1_norm, norms, torus_delta
+from vvlab.highs import highs_core
 
 MASS_RTOL = 1e-8
 MASS_FLOOR_RTOL = 1e-12
@@ -323,20 +325,20 @@ def _hilbert_order(meas: DiscreteMeasure) -> np.ndarray:
 class _RestrictedLP:
     """The transport LP over a growing set of pairs, held as one HiGHS model.
 
-    The rows are the m row marginals and the first k - 1 column marginals (the
-    last is implied by equal mass). Pairs join as columns, in the order of
-    ``pairs``; each solve after the first re-optimises from the previous optimal
-    basis, since the old columns keep their values and the new ones enter at zero.
+    The model is a ``_Highs`` of SciPy's vendored binding, loaded by
+    :func:`vvlab.highs.highs_core` without the ``scipy.optimize`` package;
+    ``linprog`` would rebuild the model on every call. The rows are the m row
+    marginals and the first k - 1 column marginals (the last is implied by
+    equal mass). Pairs join as columns, in the order of ``pairs``; each solve
+    after the first re-optimises from the previous optimal basis, since the old
+    columns keep their values and the new ones enter at zero.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
-        # SciPy's vendored HiGHS binding: linprog rebuilds its model every call
-        from scipy.optimize._highspy import _core
-
-        self._core = _core
+        self._core = highs_core()
         self.m, self.k = len(a), len(b)
         self.pairs = np.zeros(0, dtype=np.intp)  # flat indices i * k + j
-        self.highs = _core._Highs()
+        self.highs = self._core._Highs()
         # linprog's settings for method="highs" (dual simplex), presolve off
         self.highs.setOptionValue("output_flag", False)
         self.highs.setOptionValue("presolve", "off")
@@ -536,10 +538,12 @@ def w1_dual(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, np.ndarray
     The potential lives on the merged support; the Lipschitz constraint is
     imposed on every support pair, which certifies the returned value as a
     lower bound on W1. Returns (bound, potential on merged support).
-    """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
 
+    The LP is one model on SciPy's vendored HiGHS binding, with ``linprog``'s
+    settings for ``method="highs"`` (dual simplex, presolve on): a free column
+    per atom, a row zeta_i - zeta_j <= |x_i - x_j| per ordered pair, and a
+    gauge row zeta_0 = 0, since zeta is defined up to a constant.
+    """
     _check_mass_equality(mu, nu)
     pts = np.vstack([mu.points, nu.points])
     coef = np.concatenate([mu.weights, -nu.weights])
@@ -550,20 +554,24 @@ def w1_dual(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[float, np.ndarray
     D = cost_matrix(merged, merged, 1)
     ii, jj = np.nonzero(~np.eye(m, dtype=bool))
     n_con = len(ii)
-    data = np.concatenate([np.ones(n_con), -np.ones(n_con)])
-    rows = np.concatenate([np.arange(n_con), np.arange(n_con)])
-    cols = np.concatenate([ii, jj])
-    a_ub = sp.coo_matrix((data, (rows, cols)), shape=(n_con, m)).tocsr()
-    b_ub = D[ii, jj]
-    # gauge fix: zeta is defined up to a constant
-    a_eq = sp.coo_matrix((np.ones(1), (np.zeros(1, int), np.zeros(1, int))), shape=(1, m))
-    res = linprog(
-        -coef, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[0.0],
-        bounds=(None, None), method="highs",
-    )
-    if not res.success:
-        raise TransportError(f"dual LP failed: {res.message}")
-    zeta = res.x
+    _core = highs_core()
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "on")
+    dual = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs.setOptionValue("simplex_strategy", int(dual))
+    empty = np.zeros(0, dtype=np.int32)
+    highs.addCols(m, -coef, np.full(m, -np.inf), np.full(m, np.inf), 0, empty, empty, np.zeros(0))
+    # row-wise: +1 at zeta_i and -1 at zeta_j on each pair's row, then the gauge row
+    index = np.append(np.stack([ii, jj], axis=1).ravel(), 0).astype(np.int32)
+    value = np.append(np.tile([1.0, -1.0], n_con), 1.0)
+    highs.addRows(n_con + 1, np.append(np.full(n_con, -np.inf), 0.0), np.append(D[ii, jj], 0.0),
+                  len(index), np.arange(0, 2 * n_con + 1, 2, dtype=np.int32), index, value)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise TransportError(f"dual LP failed: {highs.modelStatusToString(status)}")
+    zeta = np.array(highs.getSolution().col_value)
     lip = np.max(np.abs(zeta[:, None] - zeta[None, :]) - D) if m > 1 else 0.0
     if lip > 1e-7:
         raise TransportError(f"dual potential violates the Lipschitz bound by {lip:.2e}")

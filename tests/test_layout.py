@@ -204,10 +204,22 @@ def test_config_imports_no_run_module():
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names if alias.name.startswith("vvlab")}
-    assert imported == {"vvlab.fields", "vvlab.initial_data"}
+    # vvlab.highs is the HiGHS loader, which an exact config calls
+    assert imported == {"vvlab.fields", "vvlab.highs", "vvlab.initial_data"}
     loaded = probe(CONFIG_PROBE)
     assert [m for m in ("harness", "evolve", "coupling", "transport", "cli")
             if f"vvlab.{m}" in loaded] == []
+
+
+def test_highs_loader_imports_no_vvlab_module():
+    # the loader stands alone: config and transport both read it
+    imported = [node for node in ast.walk(ast.parse((SRC / "highs.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [node.module or "" for node in imported if isinstance(node, ast.ImportFrom)]
+    names += [alias.name for node in imported if isinstance(node, ast.Import)
+              for alias in node.names]
+    assert [name for name in names if name.split(".")[0] == "vvlab"] == []
+    assert all(node.level == 0 for node in imported if isinstance(node, ast.ImportFrom))
 
 
 def test_no_module_imports_scipy_at_module_level():
@@ -242,6 +254,7 @@ loaded["config"] = scipy_modules()
 before = set(sys.modules)
 series = harness.run_experiment(cfg)
 loaded["run_first_imports"] = sorted(set(sys.modules) - before)
+loaded["run"] = scipy_modules()
 with tempfile.TemporaryDirectory() as out:
     harness.emit_report(series, cfg, out)
 loaded["report"] = scipy_modules()
@@ -294,8 +307,15 @@ def test_run_never_loads_jsonschema(method):
 
 
 def test_exact_config_loads_highs_during_set_up():
-    # the exact LP builds its model on SciPy's vendored HiGHS binding
-    assert {"scipy.optimize", "scipy.optimize._highspy._core"} <= set(run_modules("exact")["config"])
+    # the exact LP builds its model on SciPy's vendored HiGHS binding, which
+    # loads on its own: the optimize, linalg and sparse packages stay out of
+    # every stage of a run of either method
+    assert "scipy.optimize._highspy._core" in run_modules("exact")["config"]
+    heavy = {"scipy.optimize", "scipy.linalg", "scipy.sparse"}
+    for method in ("sinkhorn", "exact"):
+        loaded = run_modules(method)
+        assert [heavy & set(loaded[stage]) for stage in ("config", "run", "report")] == [
+            set(), set(), set()], method
 
 
 @pytest.mark.parametrize("method", ["sinkhorn", "exact"])
@@ -317,3 +337,20 @@ print(json.dumps({"code": code, "scipy": [m for m in sys.modules if m.split(".")
 
 def test_fit_verb_never_loads_scipy(tmp_path):
     assert probe(FIT_PROBE, str(tmp_path / "rates.csv")) == {"code": 0, "scipy": []}
+
+
+VERB_PROBE = """
+import json, sys
+from vvlab.cli import main
+
+code = main(sys.argv[1:])
+heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+print(json.dumps({"code": code, "core": "scipy.optimize._highspy._core" in sys.modules,
+                  "heavy": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize("argv", [["check", "--instances", "10"], ["oracle", "--atoms", "5"]])
+def test_lp_verbs_load_only_the_highs_binding(argv):
+    # the exact LP and the W1 dual both solve on the binding, loaded on its own
+    assert probe(VERB_PROBE, *argv) == {"code": 0, "core": True, "heavy": []}

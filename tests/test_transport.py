@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,8 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+import vvlab
+import vvlab.highs as highs
 import vvlab.transport as transport
 from vvlab.fields import Grid2D, ScalarField2D, hm1_norm
 from vvlab.initial_data import make_initial_data
@@ -715,6 +722,77 @@ class TestDual:
         D = cost_matrix(merged, merged, 1)
         gap = np.abs(zeta[:, None] - zeta[None, :]) - D
         assert gap.max() <= 1e-7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_linprog(self, seed):
+        # the same LP through linprog(method="highs"): the same potential, bit for bit
+        mu, nu = random_pair(seed, m=5, equal_weights=False)
+        dual, zeta = w1_dual(mu, nu)
+        pts = np.vstack([mu.points, nu.points])
+        coef = np.concatenate([mu.weights, -nu.weights])
+        merged = DiscreteMeasure(pts, np.abs(coef), 1.0)
+        D = cost_matrix(merged, merged, 1)
+        m = len(pts)
+        ii, jj = np.nonzero(~np.eye(m, dtype=bool))
+        rows = np.arange(len(ii))
+        a_ub = sparse.coo_matrix((np.concatenate([np.ones(len(ii)), -np.ones(len(ii))]),
+                                  (np.concatenate([rows, rows]), np.concatenate([ii, jj]))),
+                                 shape=(len(ii), m)).tocsr()
+        a_eq = sparse.coo_matrix(([1.0], ([0], [0])), shape=(1, m))
+        res = linprog(-coef, A_ub=a_ub, b_ub=D[ii, jj], A_eq=a_eq, b_eq=[0.0],
+                      bounds=(None, None), method="highs")
+        np.testing.assert_array_equal(zeta, res.x)
+        assert dual == float(coef @ res.x)
+
+
+def fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter with vvlab importable; returns its last
+    printed line, read as JSON."""
+    src = str(Path(vvlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+class TestHighsBinding:
+    def test_loader_first_then_scipy_optimize(self):
+        loaded = fresh_interpreter("""
+import json, sys
+from vvlab.highs import NAME, highs_core
+core = highs_core()
+alone = "scipy.optimize" in sys.modules
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+print(json.dumps({"alone": alone, "same": sys.modules[NAME] is core and _core is core,
+                  "x": res.x.tolist(), "status": res.status}))
+""")
+        assert loaded == {"alone": False, "same": True, "x": [1.0, 0.0], "status": 0}
+
+    def test_scipy_optimize_first_then_loader(self):
+        loaded = fresh_interpreter("""
+import json
+from scipy.optimize._highspy import _core
+from vvlab.highs import highs_core
+print(json.dumps(highs_core() is _core))
+""")
+        assert loaded is True
+
+    def test_stall_highs_stalls_the_exact_model(self, stall_highs):
+        stalls = stall_highs(math.inf)
+        assert highs.highs_core()._Highs.__name__ == "StallingHighs"
+        mu, nu = unequal_pair(7, 90, 60)
+        with pytest.raises(TransportError, match="Iteration limit"):
+            wasserstein_exact(mu, nu, p=1)
+        assert stalls.presolve == ["off", "on"]
+
+    def test_missing_binding_names_the_path(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, highs.NAME)
+        monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"_highspy/_core\.missing"):
+            highs.highs_core()
+        assert highs.NAME not in sys.modules
 
 
 class TestInequalities:
