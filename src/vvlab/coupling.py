@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it here, not inside a run)
 
+from vvlab.envelope import rhs as envelope_rhs
 from vvlab.fields import (
     ParticleWork,
     ScalarField2D,
@@ -252,8 +253,6 @@ def check_lemma1(series: QSeries, nu: float) -> Lemma1Report:
         raise ValueError("need at least 10 entries to fit the inequality constant")
     qs = moving_average(q, 5)
     dq = np.gradient(qs, t)
-    from vvlab.envelope import rhs as envelope_rhs
-
     denom = np.array([envelope_rhs(max(v, 0.0), nu, 1.0) for v in qs])
     c_fit = float(max(np.max(dq / denom), 0.0))
     resid = q - qs

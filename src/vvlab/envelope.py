@@ -3,44 +3,16 @@
 Integrates the upper envelope dQ/dt = C [Q (1 + log(1 + 1/Q)) + nu], locates
 the crossover time at which the logarithmic term takes over from the
 nu-dominated regime, and evaluates the two rate formulas (sqrt(nu t) for short
-times, (nu/|log nu|)^(exp(-C t)/2) at fixed times).
+times, (nu/|log nu|)^(exp(-C t)/2) at fixed times) as closed forms; only the
+integration and the crossover load SciPy.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class OsgoodParams:
-    c: float
-    nu: float
-    q0: float = 0.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("constant C must be > 0")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
-        if self.q0 < 0:
-            raise ValueError("q0 must be >= 0")
-
-
-class Regime(enum.Enum):
-    SHORT_TIME = "short_time"
-    FIXED_TIME = "fixed_time"
-
-
-@dataclass(frozen=True)
-class RatePrediction:
-    regime: Regime
-    value: float
-    t1: float
-    in_regime: bool
 
 
 def osgood_modulus(q) -> np.ndarray | float:
@@ -65,21 +37,27 @@ class EnvelopeCurve:
     values: np.ndarray
 
 
-def integrate_envelope(p: OsgoodParams, t_end: float, dt: float) -> EnvelopeCurve:
-    """Integrate the envelope ODE with adaptive RK, sampled every ``dt``.
+def integrate_envelope(c: float, nu: float, t_end: float, dt: float, q0: float = 0.0) -> EnvelopeCurve:
+    """Integrate the envelope ODE from Q(0) = q0 with adaptive RK, sampled every ``dt``.
 
     By the comparison principle the result upper-bounds any series satisfying
-    the differential inequality with constant <= C.
+    the differential inequality with constant <= c.
     """
     from scipy.integrate import solve_ivp
 
+    if c <= 0:
+        raise ValueError("constant C must be > 0")
+    if nu < 0:
+        raise ValueError("nu must be >= 0")
+    if q0 < 0:
+        raise ValueError("q0 must be >= 0")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be > 0")
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
     sol = solve_ivp(
-        lambda t, y: [rhs(max(y[0], 0.0), p.nu, p.c)],
+        lambda t, y: [rhs(max(y[0], 0.0), nu, c)],
         (0.0, t_end),
-        [p.q0],
+        [q0],
         t_eval=times,
         rtol=1e-10,
         atol=1e-14,
@@ -96,7 +74,7 @@ class CrossoverResult:
     residual: float
 
 
-def crossover_time(p: OsgoodParams) -> CrossoverResult:
+def crossover_time(nu: float) -> CrossoverResult:
     """Root of nu t (1 + log(1 + 1/(nu t))) = nu, i.e. the time at which the
     logarithmic term catches up with the diffusive forcing.
 
@@ -105,40 +83,32 @@ def crossover_time(p: OsgoodParams) -> CrossoverResult:
     """
     from scipy.optimize import brentq
 
-    nu = p.nu
     if not (0 < nu < 1):
         raise ValueError("crossover time is defined for 0 < nu < 1")
 
     def g(t):
-        s = nu * t
-        return t * (1.0 + math.log1p(1.0 / s)) - 1.0
+        return t * (1.0 + math.log1p(1.0 / (nu * t))) - 1.0
 
-    lo, hi = 1e-12, 1.0
-    if g(hi) < 0:
+    if g(1.0) < 0:
         raise ValueError(f"no crossover in (0, 1] for nu={nu}")
-    t1 = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    residual = abs(t1 * (1.0 + math.log1p(1.0 / (nu * t1))) - 1.0)
-    return CrossoverResult(t1=float(t1), residual=residual)
+    t1 = brentq(g, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    return CrossoverResult(t1=float(t1), residual=abs(g(t1)))
 
 
-def theorem_rate(t: float, nu: float, c: float, regime: Regime) -> RatePrediction:
-    """Evaluate the convergence-rate formulas for the velocity error.
-
-    short_time: sqrt(nu t), trusted for t below the crossover time; fixed_time:
-    (nu / |log nu|)^(exp(-C t)/2). Out-of-regime requests are flagged but still
-    evaluated.
-    """
+def _check_rate_args(nu: float, t: float) -> None:
     if not (0 < nu < 1):
         raise ValueError("nu must lie in (0, 1)")
     if t < 0:
         raise ValueError("t must be >= 0")
-    regime = Regime(regime)
-    t1 = crossover_time(OsgoodParams(c=c, nu=nu)).t1
-    if regime is Regime.SHORT_TIME:
-        value = math.sqrt(nu * t)
-        in_regime = t <= t1
-    else:
-        base = nu / abs(math.log(nu))
-        value = base ** (0.5 * math.exp(-c * t))
-        in_regime = True
-    return RatePrediction(regime=regime, value=value, t1=t1, in_regime=in_regime)
+
+
+def short_time_rate(nu: float, t: float) -> float:
+    """sqrt(nu t), the velocity-error rate trusted while t <= crossover_time(nu).t1."""
+    _check_rate_args(nu, t)
+    return math.sqrt(nu * t)
+
+
+def fixed_time_rate(nu: float, t: float, c: float) -> float:
+    """(nu / |log nu|)^(exp(-C t)/2), the velocity-error rate at a fixed time t."""
+    _check_rate_args(nu, t)
+    return (nu / abs(math.log(nu))) ** (0.5 * math.exp(-c * t))

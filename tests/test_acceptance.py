@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from vvlab.coupling import advance_coupling, estimate_q, init_coupling
-from vvlab.envelope import OsgoodParams, Regime, crossover_time, integrate_envelope
+from vvlab.envelope import crossover_time, integrate_envelope
 from vvlab.evolve import SolverConfig
 from vvlab.fields import Grid2D, ScalarField2D, VectorField2D, norms
 from vvlab.harness import ExperimentConfig, emit_report, hm1_sweep, run_experiment
@@ -212,17 +212,16 @@ def test_criterion_7_lemma1_constant_stability(coupled_experiment):
 
 def test_criterion_8_osgood_module():
     # nu-dominated regime: envelope tracks C nu t within 2%
-    p = OsgoodParams(c=2.0, nu=1e-6)
-    t_end = 3e-4
-    curve = integrate_envelope(p, t_end=t_end, dt=t_end / 10)
-    lin = p.c * p.nu * curve.times[1:]
+    c, nu, t_end = 2.0, 1e-6, 3e-4
+    curve = integrate_envelope(c, nu, t_end=t_end, dt=t_end / 10)
+    lin = c * nu * curve.times[1:]
     dev_lin = float(np.max(np.abs(curve.values[1:] - lin) / lin))
 
     # crossover: defining relation to 1e-10 and the log(1/nu) scaling band
     worst_resid = 0.0
     ratios = []
     for nu in (1e-8, 1e-6, 1e-4):
-        res = crossover_time(OsgoodParams(c=1.0, nu=nu))
+        res = crossover_time(nu)
         worst_resid = max(worst_resid, res.residual)
         ratios.append(res.t1 * math.log(1.0 / nu))
     band_ok = all(0.5 <= r <= 2.0 for r in ratios)
@@ -231,8 +230,8 @@ def test_criterion_8_osgood_module():
     nus = np.geomspace(1e-6, 1e-3, 8)
     vals = []
     for nu in nus:
-        c = integrate_envelope(OsgoodParams(c=1.0, nu=float(nu)), t_end=1.0, dt=0.05)
-        vals.append(math.sqrt(c.values[-1]))
+        curve = integrate_envelope(1.0, float(nu), t_end=1.0, dt=0.05)
+        vals.append(math.sqrt(curve.values[-1]))
     fit = fit_double_exponential_form(nus, vals)
 
     ok = dev_lin < 0.02 and worst_resid < 1e-10 and band_ok and fit.r_squared > 0.99

@@ -319,8 +319,9 @@ def test_exact_config_loads_highs_during_set_up():
 
 
 @pytest.mark.parametrize("method", ["sinkhorn", "exact"])
-def test_run_experiment_first_imports_only_the_envelope(method):
-    assert set(run_modules(method)["run_first_imports"]) <= {"vvlab.envelope"}
+def test_run_experiment_imports_no_module(method):
+    # everything a run uses is loaded when the package and its config are
+    assert run_modules(method)["run_first_imports"] == []
 
 
 FIT_PROBE = """

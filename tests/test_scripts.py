@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from vvlab import evolve
+from vvlab.envelope import crossover_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -94,6 +96,32 @@ def test_rate_sweep_rejects_short_ladder(capsys, monkeypatch):
 
 def test_crossover_scan(capsys):
     crossover_scan = load_script("crossover_scan")
-    assert crossover_scan.main(["--points", "3"]) == 0
+    assert crossover_scan.main(["--points", "3", "--c", "2.5", "--t-fixed", "0.3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + 3
+    for line, nu in zip(lines[1:], (1e-10, 1e-6, 1e-2)):
+        cols = [float(x) for x in line.split()]
+        t1 = crossover_time(nu).t1
+        fixed = (nu / abs(math.log(nu))) ** (0.5 * math.exp(-2.5 * 0.3))
+        assert cols[0] == pytest.approx(nu, rel=1e-12)
+        assert cols[1] == pytest.approx(t1, abs=5e-7)
+        assert cols[2] == pytest.approx(t1 * math.log(1 / nu), abs=5e-5)
+        assert cols[3] < 1e-12  # the residual of the crossover root
+        assert cols[4] == pytest.approx(math.sqrt(nu * t1), rel=5e-5)
+        assert cols[5] == pytest.approx(fixed, rel=5e-5)
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--nu-max", "2"], "--nu-max must be < 1, got 2"),
+    (["--nu-min", "0"], "--nu-min must be > 0, got 0"),
+    (["--nu-min", "1e-2", "--nu-max", "1e-3"], "--nu-max must be >= --nu-min 0.01, got 0.001"),
+    (["--points", "0"], "--points must be >= 1, got 0"),
+    (["--c", "0"], "--c must be > 0, got 0"),
+    (["--t-fixed", "-1"], "--t-fixed must be >= 0, got -1"),
+], ids=["nu-max", "nu-min", "nu-order", "points", "c", "t-fixed"])
+def test_crossover_scan_refuses_a_bad_flag(flags, message, capsys):
+    # exit 2 is a configuration error; 1 would claim an invariant violation
+    assert load_script("crossover_scan").main(flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
