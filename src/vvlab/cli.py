@@ -8,11 +8,11 @@ Verbs:
 * ``oracle`` -- brute-force transport solver on small instances
 
 Exit codes: 0 success, 1 invariant violation, 2 configuration error (a config,
-override, CSV or instance file that cannot be opened, parsed or used, or a
-report directory that cannot be made; ``run`` makes it first), 3 a
-viscosity leg of ``run`` failed numerically: its rows are missing from the
-report, and 3 wins over 1. Any other exception is a programming error and is
-raised, never reported as one of these.
+override, CSV or instance file that cannot be opened, parsed or used, a report
+directory that cannot be made, which ``run`` makes first, or a ``fit --json``
+file that cannot be written), 3 a viscosity leg of ``run`` failed numerically:
+its rows are missing from the report, and 3 wins over 1. Any other exception is
+a programming error and is raised, never reported as one of these.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 import yaml
 
 from vvlab.config import ConfigError, ExperimentConfig, apply_override, parse_overrides
-from vvlab.harness import emit_report, run_experiment
+from vvlab.harness import FITTED_COLUMN, emit_report, run_experiment
+from vvlab.ratefit import fit_by_time, fit_entries
 from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
 
 EXIT_OK = 0
@@ -114,8 +115,6 @@ def _report_seed(csv_path: str) -> int:
 
 
 def cmd_fit(args, extra) -> int:
-    from vvlab.ratefit import fit_rate
-
     def parse(fh):
         reader = csv.DictReader(fh, restval="")  # a short row's missing cells read as empty
         columns = reader.fieldnames or []
@@ -128,27 +127,22 @@ def cmd_fit(args, extra) -> int:
     if not rows:
         raise ConfigError(f"{args.csv} has no data rows")
     seed = _report_seed(args.csv)
-    times = sorted({t for _, t, _ in rows})
     if args.time is not None:
-        times = [t for t in times if abs(t - args.time) < 1e-12]
-        if not times:
+        rows = [row for row in rows if abs(row[1] - args.time) < 1e-12]
+        if not rows:
             raise ConfigError(f"no rows at t={args.time}")
-    result = {}
-    for t in times:
-        sub = [(nu, e) for nu, tt, e in rows if tt == t]
-        try:
-            fit = fit_rate([s[0] for s in sub], [s[1] for s in sub], transformed=args.transformed,
-                           rng_seed=seed)
-        except ValueError as e:
-            raise ConfigError(f"t={t:g}: {e}") from e
-        result[repr(t)] = {
-            "exponent": fit.exponent,
-            "ci": [fit.ci_low, fit.ci_high],
-            "r_squared": fit.r_squared,
-        }
+    try:
+        fits = fit_by_time(rows, transformed=args.transformed, rng_seed=seed)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    for t, fit in fits.items():
         print(f"t={t:g}: exponent {fit.exponent:.4f} [{fit.ci_low:.4f}, {fit.ci_high:.4f}]")
     if args.json:
-        Path(args.json).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(fit_entries(fits), indent=2, sort_keys=True) + "\n"
+        try:
+            Path(args.json).write_text(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {args.json}: {e}") from e
     return EXIT_OK
 
 
@@ -208,7 +202,7 @@ def main(argv=None) -> int:
     p_fit = sub.add_parser("fit", help="fit exponents from a rate CSV")
     p_fit.add_argument("csv", help="a rate CSV; the bootstrap seed is the config.seed of "
                        "the summary.json beside it, or 0 without one")
-    p_fit.add_argument("--column", default="err_l2_velocity")
+    p_fit.add_argument("--column", default=FITTED_COLUMN)
     p_fit.add_argument("--time", type=float)
     p_fit.add_argument("--transformed", action="store_true",
                        help="fit against log(nu/|log nu|)")

@@ -15,7 +15,8 @@ import json
 import math
 import os
 import pickle
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +36,14 @@ from vvlab.coupling import (
 from vvlab.evolve import SolverConfig, SolverError, run_split
 from vvlab.fields import FieldError, Grid2D, ScalarField2D, VectorField2D, hm1_norm, norms
 from vvlab.initial_data import make_initial_data
-from vvlab.ratefit import fit_rate
+from vvlab.ratefit import fit_by_time, fit_entries
 from vvlab.transport import TransportError, distance, field_to_measure, split_signed
 
 
 @dataclass
 class RateRow:
+    """One row of ``rate_series.csv``: its fields are the file's columns, in order."""
+
     nu: float
     t: float
     err_l2_velocity: float
@@ -49,10 +52,13 @@ class RateRow:
     q_estimate: float
 
 
+FITTED_COLUMN = "err_l2_velocity"  # the RateRow column fitted at each time
+
+
 @dataclass
 class RateSeries:
     rows: list
-    fits: dict  # t -> RateFit on err_l2_velocity
+    fits: dict  # t -> RateFit on FITTED_COLUMN
     q_series: dict  # nu -> QSeries
     lemma1: dict  # nu -> c_fit
     lemma1_stable: bool
@@ -263,11 +269,9 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
         if c_fit is not None:
             lemma1_fits[nu] = c_fit
 
-    fits = {}
-    for t in at_step.values():
-        sub = [(r.nu, r.err_l2_velocity) for r in rows if r.t == t]
-        if len(sub) >= 4:
-            fits[t] = fit_rate([s[0] for s in sub], [s[1] for s in sub], rng_seed=cfg.seed)
+    count = Counter(r.t for r in rows)  # a time that failed legs left under 4 rows gets no fit
+    fits = fit_by_time([(r.nu, r.t, getattr(r, FITTED_COLUMN)) for r in rows
+                        if count[r.t] >= 4], rng_seed=cfg.seed)
 
     flags = {
         "resolved_scale_ok": cfg.resolved_scale_ok(),
@@ -356,43 +360,23 @@ def _resolution_check(cfg: ExperimentConfig, end: int, euler_end, rows) -> tuple
 
 
 def emit_report(series: RateSeries, cfg: ExperimentConfig, outdir: str | Path) -> dict:
-    """Write CSV tables, plot-ready log-log data and a JSON summary whose shape
-    ``summary_schema()`` describes (the tests validate against it; a run does not).
+    """Write CSV tables and a JSON summary whose shape ``summary_schema()``
+    describes (the tests validate against it; a run does not).
 
     Returns the summary dict. Output is byte-identical across reruns with the
     same config and seed (no timestamps, sorted keys, repr floats).
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    vvio.write_csv(
-        out / "rate_series.csv",
-        ["nu", "t", "err_l2_velocity", "w1_vorticity", "w2_split_sum", "q_estimate"],
-        [
-            (r.nu, r.t, r.err_l2_velocity, r.w1_vorticity, r.w2_split_sum, r.q_estimate)
-            for r in series.rows
-        ],
-    )
-    loglog_rows = [
-        (math.log(r.nu), math.log(r.err_l2_velocity) if r.err_l2_velocity > 0 else math.nan, r.t)
-        for r in series.rows
-    ]
-    vvio.write_csv(out / "loglog.csv", ["log_nu", "log_err_l2_velocity", "t"], loglog_rows)
+    columns = [f.name for f in fields(RateRow)]
+    vvio.write_csv(out / "rate_series.csv", columns,
+                   [[getattr(r, c) for c in columns] for r in series.rows])
     for nu, qs in series.q_series.items():
         vvio.write_q_csv(out / f"q_nu_{float(nu)!r}.csv", qs)
 
     summary = {
         "config": cfg.to_nested(),
-        "fits": {
-            repr(float(t)): {
-                "exponent": f.exponent,
-                "intercept": f.intercept,
-                "ci": [f.ci_low, f.ci_high],
-                "r_squared": f.r_squared,
-                "n_points": f.n_points,
-                "transformed": f.transformed,
-            }
-            for t, f in series.fits.items()
-        },
+        "fits": fit_entries(series.fits),
         "lemma1": {repr(float(nu)): c for nu, c in series.lemma1.items()},
         "lemma1_stable": series.lemma1_stable,
         "flags": series.flags,

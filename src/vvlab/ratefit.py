@@ -92,6 +92,28 @@ def fit_rate(
     )
 
 
+def fit_by_time(rows, transformed: bool = False, rng_seed: int = 0) -> dict:
+    """{t: RateFit} of (nu, t, value) ``rows``, in time order: :func:`fit_rate` of
+    each time's rows in their given order, the one route from a report's rows to
+    its fits. A time whose rows cannot be fitted is a ValueError that names it."""
+    fits = {}
+    for t in sorted({row[1] for row in rows}):
+        nus, values = zip(*[(nu, value) for nu, s, value in rows if s == t])
+        try:
+            fits[t] = fit_rate(nus, values, transformed=transformed, rng_seed=rng_seed)
+        except ValueError as e:
+            raise ValueError(f"t={t:g}: {e}") from e
+    return fits
+
+
+def fit_entries(fits: dict) -> dict:
+    """{t: RateFit} as summary.json's ``fits`` block and ``vvlab fit --json`` write it."""
+    return {repr(float(t)): {
+        "exponent": f.exponent, "intercept": f.intercept, "ci": [f.ci_low, f.ci_high],
+        "r_squared": f.r_squared, "n_points": f.n_points, "transformed": f.transformed,
+    } for t, f in fits.items()}
+
+
 def fit_double_exponential_form(nus, values) -> RateFit:
     """Fit value = K (nu/|log nu|)^p, the fixed-time envelope form."""
     return fit_rate(nus, values, transformed=True, n_bootstrap=500)

@@ -303,16 +303,29 @@ class TestRunVerb:
 
 
 class TestFitVerb:
-    def test_fit_recovers_exponent(self, tmp_path, capsys):
+    @pytest.mark.parametrize("transformed", [False, True], ids=["plain", "transformed"])
+    def test_fit_recovers_exponent(self, transformed, tmp_path, capsys):
         nus = np.geomspace(1e-5, 1e-2, 8)
-        rows = [(float(nu), 0.1, float(2.0 * nu ** 0.5)) for nu in nus]
+        # 2 x^0.5 in the fitted variable x: nu, or nu/|log nu| when transformed
+        xs = nus / np.abs(np.log(nus)) if transformed else nus
+        rows = [(float(nu), 0.1, float(2.0 * x ** 0.5)) for nu, x in zip(nus, xs)]
         csv_path = tmp_path / "rates.csv"
         write_csv(csv_path, ["nu", "t", "err_l2_velocity"], rows)
         json_path = tmp_path / "fits.json"
-        code = main(["fit", str(csv_path), "--json", str(json_path)])
+        code = main(["fit", str(csv_path), "--json", str(json_path)]
+                    + ["--transformed"] * transformed)
         assert code == EXIT_OK
         fits = json.loads(json_path.read_text())
         assert fits["0.1"]["exponent"] == pytest.approx(0.5, abs=1e-9)
+        assert fits["0.1"]["transformed"] is transformed
+
+    def test_unwritable_json_path_is_config_error(self, tmp_path, capsys):
+        nus = np.geomspace(1e-5, 1e-2, 8)
+        csv_path = tmp_path / "rates.csv"
+        write_csv(csv_path, ["nu", "t", "err_l2_velocity"], [(nu, 0.1, nu ** 0.5) for nu in nus])
+        json_path = tmp_path / "nodir" / "x.json"
+        assert main(["fit", str(csv_path), "--json", str(json_path)]) == EXIT_CONFIG
+        assert f"cannot write {json_path}" in capsys.readouterr().err
 
     def test_fit_bootstraps_with_the_reports_seed(self, tmp_path, capsys):
         # smoke at seed 3 on a 7-nu ladder: the CI of a refit is the summary's;
@@ -324,8 +337,8 @@ class TestFitVerb:
         json_path = tmp_path / "fits.json"
         assert main(["fit", str(report / "rate_series.csv"), "--json", str(json_path)]) == EXIT_OK
         fit = json.loads(json_path.read_text())["0.05"]
-        summary = json.loads((report / "summary.json").read_text())["fits"]["0.05"]
-        assert (fit["exponent"], fit["ci"]) == (summary["exponent"], summary["ci"])
+        # the whole entry, as summary.json's fits block holds it
+        assert fit == json.loads((report / "summary.json").read_text())["fits"]["0.05"]
         assert fit["ci"] == pytest.approx([0.9236, 0.9572], abs=5e-5)
         # without the summary the bootstrap draws with seed 0
         (report / "summary.json").unlink()

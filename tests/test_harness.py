@@ -181,8 +181,9 @@ class TestRunExperiment:
 
         cfg = small_config()
         summary = emit_report(series, cfg, tmp_path)
-        assert (tmp_path / "rate_series.csv").exists()
-        assert (tmp_path / "loglog.csv").exists()
+        # the rate table, the summary and one Q series per leg, nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["rate_series.csv", "summary.json"] + [f"q_nu_{nu!r}.csv" for nu in cfg.nu_ladder])
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         jsonschema.validate(on_disk, summary_schema())
         assert on_disk["empty"] is False
@@ -194,8 +195,8 @@ class TestRunExperiment:
         cfg = small_config()
         emit_report(series, cfg, tmp_path / "a")
         emit_report(series, cfg, tmp_path / "b")
-        for name in ("rate_series.csv", "loglog.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        a, b = ({p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())} for d in "ab")
+        assert a == b
 
     def test_rerun_is_deterministic(self, series):
         again = run_experiment(small_config())
@@ -583,7 +584,7 @@ class TestLegShares:
             emit_report(run_experiment(cfg), cfg, tmp_path / name)
         files = sorted(path.name for path in (tmp_path / "one").iterdir())
         assert files == sorted(path.name for path in (tmp_path / "more").iterdir())
-        assert len(files) == 3 + len(cfg.nu_ladder)
+        assert len(files) == 2 + len(cfg.nu_ladder)
         for name in files:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "more" / name).read_bytes()
 

@@ -196,6 +196,37 @@ def test_bench_reads_only_names_the_harness_has():
     assert sorted(name for name in read if not hasattr(vvlab.harness, name)) == []
 
 
+def string_literals(tree) -> list:
+    """The str constants of ``tree``, f-string parts included and docstrings left out."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docs]
+
+
+def test_each_report_column_is_declared_once(tmp_path):
+    # RateRow's fields are rate_series.csv's columns, and no other code names
+    # them; the fitted column is named once, by the constant the run and vvlab
+    # fit read
+    from dataclasses import fields
+
+    from tests.conftest import small_config
+    from vvlab.harness import FITTED_COLUMN, RateRow, RateSeries, emit_report
+
+    empty = RateSeries(rows=[], fits={}, q_series={}, lemma1={}, lemma1_stable=False,
+                       invariant_violations=[], flags={}, errors=[])
+    emit_report(empty, small_config(), tmp_path)
+    header = (tmp_path / "rate_series.csv").read_text().splitlines()[0]
+    assert header.split(",") == [f.name for f in fields(RateRow)]
+    literals = [value for tree in parsed(sorted(SRC.rglob("*.py"))).values()
+                for value in string_literals(tree)]
+    named = {column: [value for value in literals if column in value] for column in
+             ("w1_vorticity", "w2_split_sum", "q_estimate", "err_l2_velocity")}
+    assert named == {"w1_vorticity": [], "w2_split_sum": [], "q_estimate": [],
+                     "err_l2_velocity": [FITTED_COLUMN]}
+
+
 def test_config_imports_no_run_module():
     # the config format is read before, and without, any run
     imported = set()
