@@ -8,7 +8,9 @@ time and the exponent fitted with the config's seed, as ``vvlab run`` fits it.
 Useful for quick rate exploration before committing to a full experiment. A
 configuration error, or a ladder of fewer than 4 viscosities, exits 2 before
 any run. A run that breaks its a-priori bounds is printed on stderr as an
-invariant violation, and the script exits 1, as ``vvlab run`` does.
+invariant violation, and the script exits 1, as ``vvlab run`` does. A run that
+fails numerically (a SolverError in the reference or a leg) is printed on
+stderr as a numerical failure, and the script exits 3.
 
     python3 scripts/rate_sweep.py --config configs/short_time.yaml --grid.n 128 --times "[0.1, 0.5]"
 """
@@ -17,8 +19,9 @@ import argparse
 import sys
 import time
 
-from vvlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, load_config
+from vvlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, load_config
 from vvlab.config import ConfigError
+from vvlab.evolve import SolverError
 from vvlab.harness import hm1_sweep
 from vvlab.ratefit import fit_rate
 
@@ -36,6 +39,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as e:
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     for t, col in errs.items():
         fit = fit_rate(cfg.nu_ladder, col, rng_seed=cfg.seed)
         pretty = ", ".join(f"{e:.3e}" for e in col)

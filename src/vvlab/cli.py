@@ -10,9 +10,10 @@ Verbs:
 Exit codes: 0 success, 1 invariant violation, 2 configuration error (a config,
 override, CSV or instance file that cannot be opened, parsed or used, a report
 directory that cannot be made, which ``run`` makes first, or a ``fit --json``
-file that cannot be written), 3 a viscosity leg of ``run`` failed numerically:
-its rows are missing from the report, and 3 wins over 1. Any other exception is
-a programming error and is raised, never reported as one of these.
+file that cannot be written), 3 ``run`` failed numerically (a SolverError or
+CouplingError): either a viscosity leg, whose rows are missing from the report,
+and 3 wins over 1, or the reference, and then no report is written. Any other
+exception is a programming error and is raised, never reported as one of these.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import numpy as np
 import yaml
 
 from vvlab.config import ConfigError, ExperimentConfig, apply_override, parse_overrides
+from vvlab.coupling import CouplingError
+from vvlab.evolve import SolverError
 from vvlab.harness import FITTED_COLUMN, emit_report, run_experiment
 from vvlab.ratefit import fit_by_time, fit_entries
 from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
@@ -34,7 +37,7 @@ from vvlab.transport import BRUTE_FORCE_MAX_ATOMS
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
-EXIT_LEG_ERROR = 3
+EXIT_NUMERICAL = 3
 
 
 def _at_least(low: int):
@@ -80,10 +83,15 @@ def cmd_run(args, extra) -> int:
         raise ConfigError(f"cannot create report directory {outdir}: {e}") from e
     try:
         series = run_experiment(cfg)
-    except ConfigError:  # found in the run, such as bad initial data: no empty report is left
+    except (ConfigError, SolverError, CouplingError) as e:
+        # found in the run, such as bad initial data or a failed reference: no
+        # empty report is left; a leg's failure is caught in the run
         if made and not any(outdir.iterdir()):
             outdir.rmdir()
-        raise
+        if isinstance(e, ConfigError):
+            raise
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     summary = emit_report(series, cfg, outdir)
     print(f"report written to {outdir}")
     for t, fit in sorted(series.fits.items()):
@@ -94,7 +102,7 @@ def cmd_run(args, extra) -> int:
     for nu, msg in summary["leg_errors"]:
         print(f"leg error: nu={nu}: {msg}", file=sys.stderr)
     if summary["leg_errors"]:
-        return EXIT_LEG_ERROR
+        return EXIT_NUMERICAL
     return EXIT_VIOLATION if summary["invariant_violations"] else EXIT_OK
 
 

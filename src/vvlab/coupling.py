@@ -15,7 +15,7 @@ of the particle count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it here, not inside a run)
@@ -70,14 +70,16 @@ class CouplingEnsemble:
 
 @dataclass
 class QEstimate:
-    time: float
+    """One row of a ``q_nu_*.csv`` table: its fields are the file's columns, in order."""
+
+    t: float
     q_plus: float
     q_minus: float
+    q: float = field(init=False)
     stderr: float
 
-    @property
-    def q(self) -> float:
-        return self.q_plus + self.q_minus
+    def __post_init__(self):
+        self.q = self.q_plus + self.q_minus
 
 
 @dataclass
@@ -86,7 +88,7 @@ class QSeries:
 
     @property
     def times(self):
-        return np.array([e.time for e in self.entries])
+        return np.array([e.t for e in self.entries])
 
     @property
     def q(self):
@@ -218,7 +220,7 @@ def estimate_q(ens: CouplingEnsemble, x: np.ndarray) -> QEstimate:
             loo = np.divide(np.subtract(vals.sum(), vals, out=loo_buf[:n]), n - 1, out=loo_buf[:n])
             dev = np.square(np.subtract(loo, loo.mean(), out=loo), out=loo)
             var += mass * mass * (n - 1) / n * float(dev.sum())
-    return QEstimate(time=ens.time, q_plus=out[1], q_minus=out[-1], stderr=math.sqrt(var))
+    return QEstimate(t=ens.time, q_plus=out[1], q_minus=out[-1], stderr=math.sqrt(var))
 
 
 def moving_average(y: np.ndarray, window: int) -> np.ndarray:

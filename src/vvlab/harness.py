@@ -26,6 +26,7 @@ from vvlab.config import ConfigError, ExperimentConfig
 from vvlab.config import apply_override  # noqa: F401  (bench/child.py calls harness.apply_override)
 from vvlab.coupling import (
     CouplingError,
+    QEstimate,
     QSeries,
     advance_coupling,
     check_lemma1,
@@ -368,11 +369,11 @@ def emit_report(series: RateSeries, cfg: ExperimentConfig, outdir: str | Path) -
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    columns = [f.name for f in fields(RateRow)]
-    vvio.write_csv(out / "rate_series.csv", columns,
-                   [[getattr(r, c) for c in columns] for r in series.rows])
-    for nu, qs in series.q_series.items():
-        vvio.write_q_csv(out / f"q_nu_{float(nu)!r}.csv", qs)
+    tables = [("rate_series.csv", RateRow, series.rows)] + [
+        (f"q_nu_{float(nu)!r}.csv", QEstimate, qs.entries) for nu, qs in series.q_series.items()]
+    for name, cls, records in tables:
+        columns = [f.name for f in fields(cls)]
+        vvio.write_csv(out / name, columns, [[getattr(r, c) for c in columns] for r in records])
 
     summary = {
         "config": cfg.to_nested(),

@@ -21,8 +21,3 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def write_q_csv(path: str | Path, series) -> None:
-    rows = [(e.time, e.q_plus, e.q_minus, e.q, e.stderr) for e in series.entries]
-    write_csv(path, ["t", "q_plus", "q_minus", "q", "stderr"], rows)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from vvlab import evolve
-from vvlab.cli import EXIT_CONFIG, EXIT_LEG_ERROR, EXIT_OK, EXIT_VIOLATION, main
+from vvlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, main
 from vvlab.harness import summary_schema
 from vvlab.io import write_csv
 
@@ -194,6 +194,17 @@ class TestRunVerb:
         assert code == EXIT_CONFIG
         assert outdir.is_dir() == existed
 
+    def test_failed_reference_exits_3_and_leaves_no_report_directory(self, tmp_path, capsys):
+        # a vortex pair this strong breaks the CFL bound in the first step of the
+        # Euler reference, which runs outside any leg
+        code = main(["run", "--config", str(SMOKE), "--output", str(tmp_path),
+                     "--initial_data.params.strength", "200"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: SolverError: step 1 (t=0.005): CFL violation")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
     def test_non_mapping_config_is_config_error(self, extra, tmp_path):
         p = tmp_path / "list.yaml"
@@ -223,7 +234,7 @@ class TestRunVerb:
     def test_failing_exact_lp_is_a_leg_error(self, tiny_config, tmp_path, stall_highs):
         stall_highs(math.inf)
         code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path / "out")])
-        assert code == EXIT_LEG_ERROR
+        assert code == EXIT_NUMERICAL
         summary = json.loads((tmp_path / "out" / "cli-tiny-seed0" / "summary.json").read_text())
         assert [nu for nu, _ in summary["leg_errors"]] == [3e-2, 1.7e-2, 9.5e-3, 5.3e-3]
         for _, msg in summary["leg_errors"]:
@@ -263,7 +274,7 @@ class TestRunVerb:
 
         assert run("a") == EXIT_OK
         monkeypatch.setattr(evolve, "snapshots", snapshots)
-        assert run("b") == EXIT_LEG_ERROR
+        assert run("b") == EXIT_NUMERICAL
         assert "injected blow-up" in capsys.readouterr().err
 
         (rows_a, summary_a, q_a), (rows_b, summary_b, q_b) = report("a"), report("b")

@@ -153,6 +153,8 @@ class TestAdvance:
         est = estimate_q(ens, np.array([[0.1, 0.1], [0.6, 0.6]]))
         assert est.q_plus == pytest.approx(2.0 * 0.1 ** 2)
         assert est.q_minus == pytest.approx(2.0 * 0.3 ** 2)
+        # q is a column of the Q table, set from its two parts bit for bit
+        assert np.float64(est.q).tobytes() == np.float64(est.q_plus + est.q_minus).tobytes()
 
     def test_wraparound_separation(self):
         ens = CouplingEnsemble(
@@ -242,7 +244,7 @@ class TestLemma1:
                 q += (dt / sub) * c_true * envelope_rhs(q, nu, 1.0)
             ts.append((i + 1) * dt)
             qs.append(q)
-        entries = [QEstimate(time=t, q_plus=v, q_minus=0.0, stderr=0.0) for t, v in zip(ts, qs)]
+        entries = [QEstimate(t=t, q_plus=v, q_minus=0.0, stderr=0.0) for t, v in zip(ts, qs)]
         return QSeries(entries=entries)
 
     def test_recovers_known_constant(self):
@@ -257,19 +259,19 @@ class TestLemma1:
         assert r2.c_fit == pytest.approx(2.0 * r1.c_fit, rel=0.1)
 
     def test_flat_series_reports_zero(self):
-        entries = [QEstimate(time=0.01 * (i + 1), q_plus=0.5, q_minus=0.0, stderr=0.0) for i in range(20)]
+        entries = [QEstimate(t=0.01 * (i + 1), q_plus=0.5, q_minus=0.0, stderr=0.0) for i in range(20)]
         rep = check_lemma1(QSeries(entries=entries), nu=1e-3)
         assert rep.c_fit == pytest.approx(0.0, abs=1e-12)
 
     def test_too_short_series_rejected(self):
-        entries = [QEstimate(time=0.01, q_plus=0.1, q_minus=0.0, stderr=0.0)] * 5
+        entries = [QEstimate(t=0.01, q_plus=0.1, q_minus=0.0, stderr=0.0)] * 5
         with pytest.raises(ValueError):
             check_lemma1(QSeries(entries=entries), nu=1e-3)
 
     def test_noisy_series_flagged_inconclusive(self):
         rng = np.random.default_rng(0)
         entries = [
-            QEstimate(time=0.01 * (i + 1), q_plus=abs(rng.normal(0.0, 1.0)), q_minus=0.0, stderr=0.0)
+            QEstimate(t=0.01 * (i + 1), q_plus=abs(rng.normal(0.0, 1.0)), q_minus=0.0, stderr=0.0)
             for i in range(60)
         ]
         rep = check_lemma1(QSeries(entries=entries), nu=1e-3)

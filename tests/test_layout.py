@@ -206,25 +206,31 @@ def string_literals(tree) -> list:
 
 
 def test_each_report_column_is_declared_once(tmp_path):
-    # RateRow's fields are rate_series.csv's columns, and no other code names
-    # them; the fitted column is named once, by the constant the run and vvlab
-    # fit read
+    # RateRow's fields are rate_series.csv's columns and QEstimate's are a Q
+    # table's, and no other code names them; the fitted column is named once,
+    # by the constant the run and vvlab fit read
     from dataclasses import fields
 
     from tests.conftest import small_config
+    from vvlab.coupling import QEstimate, QSeries
     from vvlab.harness import FITTED_COLUMN, RateRow, RateSeries, emit_report
 
-    empty = RateSeries(rows=[], fits={}, q_series={}, lemma1={}, lemma1_stable=False,
-                       invariant_violations=[], flags={}, errors=[])
-    emit_report(empty, small_config(), tmp_path)
-    header = (tmp_path / "rate_series.csv").read_text().splitlines()[0]
-    assert header.split(",") == [f.name for f in fields(RateRow)]
+    q_series = {1e-3: QSeries(entries=[QEstimate(0.0, 0.0, 0.0, 0.0)])}
+    series = RateSeries(rows=[], fits={}, q_series=q_series, lemma1={}, lemma1_stable=False,
+                        invariant_violations=[], flags={}, errors=[])
+    emit_report(series, small_config(), tmp_path)
+    headers = {path.name: path.read_text().splitlines()[0].split(",")
+               for path in tmp_path.glob("*.csv")}
+    assert headers == {"rate_series.csv": [f.name for f in fields(RateRow)],
+                       "q_nu_0.001.csv": [f.name for f in fields(QEstimate)]}
     literals = [value for tree in parsed(sorted(SRC.rglob("*.py"))).values()
                 for value in string_literals(tree)]
     named = {column: [value for value in literals if column in value] for column in
-             ("w1_vorticity", "w2_split_sum", "q_estimate", "err_l2_velocity")}
+             ("w1_vorticity", "w2_split_sum", "q_estimate", "err_l2_velocity",
+              "q_plus", "q_minus", "stderr")}
     assert named == {"w1_vorticity": [], "w2_split_sum": [], "q_estimate": [],
-                     "err_l2_velocity": [FITTED_COLUMN]}
+                     "err_l2_velocity": [FITTED_COLUMN],
+                     "q_plus": [], "q_minus": [], "stderr": []}
 
 
 def test_config_imports_no_run_module():
@@ -270,7 +276,7 @@ def test_no_module_imports_scipy_at_module_level():
 
 # Runs what ``vvlab run`` runs in a fresh interpreter and prints, as JSON, the
 # SciPy modules loaded after each stage, the modules run_experiment first imports
-# and whether jsonschema was loaded by the end.
+# and whether jsonschema and numpy.ma were loaded by the end.
 RUN_PROBE = """
 import json, sys, tempfile
 import vvlab.cli
@@ -290,6 +296,7 @@ with tempfile.TemporaryDirectory() as out:
     harness.emit_report(series, cfg, out)
 loaded["report"] = scipy_modules()
 loaded["jsonschema"] = "jsonschema" in sys.modules
+loaded["numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(loaded))
 """
 
@@ -335,6 +342,13 @@ def test_sinkhorn_run_never_loads_scipy():
 def test_run_never_loads_jsonschema(method):
     # the tests and the bench gate validate summaries; a run only writes them
     assert run_modules(method)["jsonschema"] is False
+
+
+@pytest.mark.parametrize("method", ["sinkhorn", "exact"])
+def test_run_never_loads_numpy_ma(method):
+    # the rate fit's bootstrap interval is read off the sorted slopes, not
+    # through np.percentile, which loads numpy.ma
+    assert run_modules(method)["numpy.ma"] is False
 
 
 def test_exact_config_loads_highs_during_set_up():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vvlab.ratefit import fit_double_exponential_form, fit_rate
+from vvlab.ratefit import _percentile, fit_double_exponential_form, fit_rate
 
 
 class TestExactRecovery:
@@ -84,6 +84,19 @@ class TestVectorizedBootstrap:
             assert fit.ci_low == pytest.approx(lo, rel=1e-12, abs=0)
             assert fit.ci_high == pytest.approx(hi, rel=1e-12, abs=0)
             assert fit.exponent == np.polyfit(np.log(nus), np.log(errs), 1)[0]
+
+
+def test_percentile_is_np_percentile_bit_for_bit():
+    # the bootstrap interval's percentiles, on every resample count from 4 to
+    # 2000 (fit_double_exponential_form draws 500, fit_rate 2000): distinct
+    # values, values with ties and constant values
+    rng = np.random.default_rng(5)
+    for n in range(4, 2001):
+        for values in (rng.normal(size=n), 0.3 * rng.integers(0, 3, size=n),
+                       np.full(n, rng.normal())):
+            ordered = np.sort(values)
+            got = np.array([_percentile(ordered, q) for q in (2.5, 97.5)])
+            assert got.tobytes() == np.percentile(values, [2.5, 97.5]).tobytes(), n
 
 
 class TestValidation:

@@ -67,6 +67,15 @@ def test_rate_sweep_exits_1_on_a_violation(capsys, monkeypatch):
     assert captured.err.startswith("invariant violation: nu=0.0 t=0.01: a-priori plus mass drift")
 
 
+def test_rate_sweep_exits_3_on_a_failed_reference(capsys):
+    # the CFL bound breaks in the first step of the Euler reference
+    override = ["--initial_data.params.strength", "200"]
+    assert load_script("rate_sweep").main(["--config", str(SMOKE), *override]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("numerical failure: SolverError: step 1 (t=0.005): CFL violation")
+
+
 def sweep_refused(monkeypatch, capsys, override) -> str:
     """What rate_sweep prints on stderr for a config it refuses with exit 2,
     which must come before any integration."""
