@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -72,22 +73,33 @@ def load_config(path: str, extra: list[str]) -> ExperimentConfig:
     return ExperimentConfig.from_nested(tree)
 
 
+def _remove_empty(levels) -> None:
+    """Remove the directories ``levels`` that exist, deepest first, up to the first
+    that is not empty, so a failed run leaves no empty directory it made."""
+    for d in levels:
+        if not os.path.isdir(d):  # os.path, unlike Path, takes an overlong name as missing
+            continue
+        if any(d.iterdir()):
+            return
+        d.rmdir()
+
+
 def cmd_run(args, extra) -> int:
     cfg = load_config(args.config, extra)
     outdir = Path(args.output or cfg.output_dir) / f"{cfg.name}-seed{cfg.seed}"
-    made = not outdir.exists()
+    made = [d for d in (outdir, *outdir.parents) if not os.path.isdir(d)]  # deepest first
     # before the run, so an unusable output path costs no integration
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
+        _remove_empty(made)
         raise ConfigError(f"cannot create report directory {outdir}: {e}") from e
     try:
         series = run_experiment(cfg)
     except (ConfigError, SolverError, CouplingError) as e:
-        # found in the run, such as bad initial data or a failed reference: no
-        # empty report is left; a leg's failure is caught in the run
-        if made and not any(outdir.iterdir()):
-            outdir.rmdir()
+        # found in the run, such as bad initial data or a failed reference; a
+        # leg's failure is caught in the run
+        _remove_empty(made)
         if isinstance(e, ConfigError):
             raise
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)

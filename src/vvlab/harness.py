@@ -1,8 +1,8 @@
 """Experiment orchestration: nu-sweeps, error metrics, rate fits, reports.
 
-One experiment runs the inviscid reference once, then for every viscosity in
-the ladder runs the viscous twin, the particle coupling, and at each
-evaluation time computes the velocity L2 error (as the H^-1 norm of the
+One experiment runs the Euler reference, the run at nu = 0, once, then each
+viscosity in the ladder through the same run function and particle set, and at
+each evaluation time computes the velocity L2 error (as the H^-1 norm of the
 vorticity difference), the split-route W1 and W2 distances, and the coupling
 cost. Everything is seeded from the config; reports are byte-stable across
 reruns, and on any number of CPUs: the legs run in interleaved shares of the
@@ -181,21 +181,28 @@ def _map_legs(leg, ladder) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     """The rows, fits, Q series, lemma 1 constants, violations and failed legs of
-    ``cfg``: its inviscid reference once, then each viscosity of its ladder against
-    it, coupled through one particle set, X at nu = 0 and Y in each leg."""
-    omega0, parts0, scfg_euler, at_step = _start(cfg)
+    ``cfg``: its run at nu = 0, the Euler reference, once, then each viscosity of
+    its ladder against it, through one particle set: X at nu = 0, Y in each leg."""
+    omega0, parts0, scfg, at_step = _start(cfg)
     grid, norms0 = omega0.grid, norms(omega0)
-
-    # the inviscid reference, read once: the whole snapshot at each evaluation
-    # time's step, by time, its a-priori violation, which opens the run's list,
-    # and X at the start and at each interval's end, stepped on its midpoint
     ens = init_coupling(omega0, cfg.n_particles, rng_seed=cfg.seed)
-    x_at = [ens.x.copy()]
+    x_at = [ens.x.copy()]  # x_at[k] is X after k steps; the Euler run appends k >= 1
 
-    def step_inviscid(h, mid):
-        x_at.append(advance_coupling(ens, VectorField2D(grid, *mid), 0.0, h).x.copy())
+    def run(nu: float, read):
+        """The run at ``nu``, read once, with the particles restarted at X's start
+        and given to ``read`` there and after each interval's step on its midpoint
+        velocity: the snapshots at the evaluation times, by t, and the a-priori violations."""
+        np.copyto(ens.x, x_at[0])
+        ens.time, ens.step_index = 0.0, 0  # the noise is keyed on (run seed, step)
+        read(ens)
+        return run_split(*parts0, replace(scfg, nu=nu), at_step, lambda h, mid: read(
+            advance_coupling(ens, VectorField2D(grid, *mid), nu, h)))
 
-    euler_at, invariant_violations = run_split(*parts0, scfg_euler, at_step, step_inviscid)
+    def keep_x(e):
+        if e.step_index:  # x_at[0], X's start, is there already
+            x_at.append(e.x.copy())
+
+    euler_at, invariant_violations = run(0.0, keep_x)
     # their parts' measures, shared by the ladder
     euler_measures = {t: _part_measures(grid, v, cfg.max_support) for t, v in euler_at.items()}
     method, eps = cfg.transport_method, cfg.transport_epsilon
@@ -203,18 +210,9 @@ def run_experiment(cfg: ExperimentConfig) -> RateSeries:
     def evaluate_leg(nu: float):
         """Read one viscous leg once, then its rows, invariant violations,
         Q series and lemma 1 fit (None for a series too short to fit). Its
-        snapshots go with its frame, before the next leg is read. The particles
-        restart from X's start as Y and step on each interval's viscous
-        midpoint velocity, the work array of ``run_split``."""
-        np.copyto(ens.x, x_at[0])
-        ens.time, ens.step_index = 0.0, 0  # the noise is keyed on (run seed, step)
-        entries = [estimate_q(ens, x_at[0])]
-
-        def advance(h, mid):
-            advance_coupling(ens, VectorField2D(grid, *mid), nu, h)
-            entries.append(estimate_q(ens, x_at[ens.step_index]))
-
-        kept, violations = run_split(*parts0, replace(scfg_euler, nu=nu), at_step, advance)
+        snapshots go with its frame, before the next leg is read."""
+        entries = []
+        kept, violations = run(nu, lambda e: entries.append(estimate_q(e, x_at[e.step_index])))
         series = QSeries(entries=entries)
         c_fit = check_lemma1(series, nu).c_fit if len(series.entries) >= 10 else None
         leg_rows = []

@@ -205,6 +205,21 @@ class TestRunVerb:
         assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("override,exit_code", [
+        (["--initial_data.params.strength", "200"], EXIT_NUMERICAL),  # a failed reference
+        (["--initial_data.params.radius", "5"], EXIT_CONFIG),  # initial data refused in the run
+    ], ids=["numerical", "config"])
+    def test_failed_run_removes_every_output_level_it_made(self, override, exit_code, tmp_path):
+        # --output is made with its parents: every level the command made goes,
+        # and a level that existed stays
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "other").write_text("")
+        for output in (tmp_path / "a" / "b", tmp_path / "kept" / "c" / "d"):
+            code = main(["run", "--config", str(SMOKE), "--output", str(output), *override])
+            assert code == exit_code
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "kept", "kept/other"]
+
     @pytest.mark.parametrize("extra", [[], ["--seed", "1"]])
     def test_non_mapping_config_is_config_error(self, extra, tmp_path):
         p = tmp_path / "list.yaml"
@@ -311,6 +326,14 @@ class TestRunVerb:
         code = main(["run", "--config", str(tiny_config), "--output", str(blocker / "out")])
         assert code == EXIT_CONFIG
         assert f"cannot create report directory {blocker / 'out'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parts", [["x" * 300], ["a", "x" * 300]], ids=["name", "parent"])
+    def test_overlong_output_name_is_config_error(self, parts, tiny_config, tmp_path, capsys):
+        # the name cannot be made (ENAMETOOLONG) and no level made before it is left
+        code = main(["run", "--config", str(tiny_config), "--output", str(tmp_path.joinpath(*parts))])
+        assert code == EXIT_CONFIG
+        assert "cannot create report directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
 class TestFitVerb:

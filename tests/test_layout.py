@@ -112,32 +112,58 @@ def test_legs_run_only_through_map_legs():
     for name in ("fork", "_exit"):
         assert set().union(*(readers_of(tree, name, path.stem) for path, tree in trees.items())
                            ) == {"harness._map_legs"}
-    # each sweep calls run_split itself once, outside any loop, for its Euler
-    # reference. A leg is a nested function that reads run_split, evaluate_leg or
-    # another leg; the sweep's own body reads a leg only as the one function it
-    # hands to _map_legs
+    # each sweep reads its Euler reference once, outside any loop, through a run
+    # function: run_split or a nested function that reaches it. Its own body reads
+    # no other run function than the one leg it hands to _map_legs, and that leg
+    # reaches run_split only through the reference's function
     harness = trees[SRC / "harness.py"]
     sweeps = [node for node in harness.body if getattr(node, "name", None) in
               ("run_experiment", "hm1_sweep")]
     assert len(sweeps) == 2
+    references = {}
     for sweep in sweeps:
-        nested = [node for node in ast.walk(sweep)
-                  if isinstance(node, ast.FunctionDef) and node is not sweep]
-        legs = {"run_split", "evaluate_leg"}
-        while grown := {node.name for node in nested if node.name not in legs and any(
-                readers_of(node, leg, "") for leg in legs)}:
-            legs |= grown
-        own = frozenset(id(n) for node in nested for n in ast.walk(node))
+        nested = {node.name: node for node in ast.walk(sweep)
+                  if isinstance(node, ast.FunctionDef) and node is not sweep}
+
+        def callees(name):
+            """The nested functions and run_split that ``name``'s body reads."""
+            return {read for read in [*nested, "run_split"] if readers_of(nested[name], read, "")}
+
+        runs = {"run_split"}
+        while grown := {name for name in nested if name not in runs and callees(name) & runs}:
+            runs |= grown
+        own = frozenset(id(n) for node in nested.values() for n in ast.walk(node))
         body = [node for node in ast.walk(sweep) if id(node) not in own]
-        calls = [node for node in body if isinstance(node, ast.Call)]
-        handed = [call.args[0] for call in calls if getattr(call.func, "id", None) == "_map_legs"]
-        read = [node for node in body if isinstance(node, ast.Name) and node.id in legs]
-        assert [node.id for node in read if node.id == "run_split"] == ["run_split"], sweep.name
+        handed = [node.args[0] for node in body if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_map_legs"]
+        assert len(handed) == 1 and handed[0].id in runs, sweep.name
+        read = [node.id for node in body if isinstance(node, ast.Name) and node.id in runs
+                and node is not handed[0]]
+        assert len(read) == 1, (sweep.name, read)
+        reference = references[sweep.name] = read[0]
         loops = [node for node in body if isinstance(node, (
             ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
-        assert not any(readers_of(loop, "run_split", "") for loop in loops), sweep.name
-        assert [node for node in read if node.id != "run_split"] == handed, sweep.name
-        assert len(handed) == 1 and handed[0].id in legs - {"run_split"}, sweep.name
+        assert not any(readers_of(loop, reference, "") for loop in loops), sweep.name
+        legs, todo = set(), [handed[0].id]
+        while todo:
+            name = todo.pop()
+            if name != reference and name not in legs:
+                legs.add(name)
+                todo += callees(name) if name in nested else []
+        assert "run_split" not in legs, sweep.name
+        assert reference in set().union(*(callees(name) for name in legs)), sweep.name
+    # run_experiment's reference is its legs' nested run function at nu = 0
+    assert references["run_experiment"] != "run_split"
+
+
+def test_one_particle_step():
+    # X and every Y step through the one call of advance_coupling, in the run
+    # function that run_experiment's Euler reference and its legs share
+    tree = ast.parse((SRC / "harness.py").read_text())
+    steps = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "advance_coupling"]
+    assert len(steps) == 1
+    assert readers_of(tree, "advance_coupling", "harness") == {"harness.run"}
 
 
 def bench_spans(monkeypatch):
@@ -177,8 +203,8 @@ def test_only_the_start_reads_the_initial_data_and_the_schedule():
 
 
 def test_one_particle_set_per_run():
-    # run_experiment samples the particles once, before its Euler reference; a
-    # leg (evaluate_leg) restarts them and never samples its own
+    # run_experiment samples the particles once, before its Euler reference; its
+    # run function restarts them for each run and never samples its own
     trees = parsed(sorted(SRC.rglob("*.py")))
     readers = set().union(*(readers_of(tree, "init_coupling", path.stem)
                             for path, tree in trees.items()))
@@ -353,10 +379,10 @@ def test_run_never_loads_numpy_ma(method):
 
 def test_exact_config_loads_highs_during_set_up():
     # the exact LP builds its model on SciPy's vendored HiGHS binding, which
-    # loads on its own: the optimize, linalg and sparse packages stay out of
-    # every stage of a run of either method
+    # loads on its own: the scipy package itself and its optimize, linalg and
+    # sparse packages stay out of every stage of a run of either method
     assert "scipy.optimize._highspy._core" in run_modules("exact")["config"]
-    heavy = {"scipy.optimize", "scipy.linalg", "scipy.sparse"}
+    heavy = {"scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
     for method in ("sinkhorn", "exact"):
         loaded = run_modules(method)
         assert [heavy & set(loaded[stage]) for stage in ("config", "run", "report")] == [
@@ -390,7 +416,7 @@ import json, sys
 from vvlab.cli import main
 
 code = main(sys.argv[1:])
-heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+heavy = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 print(json.dumps({"code": code, "core": "scipy.optimize._highspy._core" in sys.modules,
                   "heavy": [m for m in heavy if m in sys.modules]}))
 """
@@ -398,5 +424,6 @@ print(json.dumps({"code": code, "core": "scipy.optimize._highspy._core" in sys.m
 
 @pytest.mark.parametrize("argv", [["check", "--instances", "10"], ["oracle", "--atoms", "5"]])
 def test_lp_verbs_load_only_the_highs_binding(argv):
-    # the exact LP and the W1 dual both solve on the binding, loaded on its own
+    # the exact LP and the W1 dual both solve on the binding, loaded on its own,
+    # without the scipy package
     assert probe(VERB_PROBE, *argv) == {"code": 0, "core": True, "heavy": []}

@@ -794,6 +794,14 @@ print(json.dumps(highs_core() is _core))
             highs.highs_core()
         assert highs.NAME not in sys.modules
 
+    def test_missing_scipy_is_the_import_error(self, monkeypatch):
+        # the error ``import scipy`` would raise
+        monkeypatch.delitem(sys.modules, highs.NAME)
+        monkeypatch.setattr("importlib.util.find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="No module named 'scipy'") as raised:
+            highs.highs_core()
+        assert raised.value.name == "scipy"
+
 
 class TestInequalities:
     @pytest.mark.parametrize("seed", range(5))
